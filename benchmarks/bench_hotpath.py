@@ -71,7 +71,7 @@ def main(argv=None) -> int:
         if not HAVE_NUMPY:
             print(
                 "warning: --engine columnar requested but NumPy is not "
-                "installed (pip install repro-8t[columnar]); skipping "
+                "installed (pip install numpy); skipping "
                 "the columnar tier",
                 file=sys.stderr,
             )

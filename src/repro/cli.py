@@ -682,7 +682,7 @@ def _cmd_bench(args) -> int:
         if not HAVE_NUMPY:
             print(
                 "warning: --engine columnar requested but NumPy is not "
-                "installed (pip install repro-8t[columnar]); skipping the "
+                "installed (pip install numpy); skipping the "
                 "columnar tier",
                 file=sys.stderr,
             )

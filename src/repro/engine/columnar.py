@@ -45,17 +45,21 @@ falls back to the batched engine for the whole chunk.  The four-way
 scalar↔batched↔columnar↔oracle differential in ``tests/engine/`` and
 ``repro/check/`` enforces bit-identity across all of it.
 
-NumPy is an optional extra; :func:`require_numpy` raises a
-:class:`ValidationError` when it is missing.
+Campaign rows run on this engine (:func:`repro.sim.campaign.
+execute_row`): the generator's columns become one whole-trace chunk
+(:meth:`ColumnarChunk.from_columns`) whose zero-copy :meth:`slices`
+every technique replays.  NumPy is a core dependency;
+:func:`require_numpy` raises a :class:`ValidationError` when it is
+missing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Tuple
 
 from repro.cache.config import CacheGeometry
-from repro.engine.batch import AccessBatch, iter_batches
+from repro.engine.batch import DEFAULT_BATCH_SIZE, AccessBatch, iter_batches
 from repro.errors import StateError, ValidationError
 from repro.trace.record import MemoryAccess
 
@@ -76,6 +80,7 @@ __all__ = [
     "require_numpy",
     "iter_chunks",
     "process_chunk",
+    "split_addresses",
 ]
 
 HAVE_NUMPY = np is not None
@@ -87,8 +92,8 @@ def require_numpy() -> None:
     """Raise :class:`ValidationError` unless NumPy is importable."""
     if np is None:
         raise ValidationError(
-            "engine='columnar' requires NumPy; install the 'columnar' "
-            "extra (pip install repro-8t[columnar])"
+            "engine='columnar' requires NumPy, a core dependency of "
+            "repro (pip install numpy)"
         )
 
 
@@ -123,14 +128,69 @@ class ColumnarChunk:
 
         A pure function of the trace data and geometry — independent of
         any cache or controller state — so it is computed once and
-        cached: a campaign sweeping several techniques over the same
-        chunks (see :mod:`repro.sim.parallel`) pays for the projection
-        once, not once per technique.  See
+        cached: a campaign row sweeping its techniques over the same
+        chunks (see :func:`repro.sim.campaign.execute_row`) pays for
+        the projection once, not once per technique.  See
         :func:`_grouped_projection` for the layout.
         """
         if self._grouped is None:
             self._grouped = _grouped_projection(self)
         return self._grouped
+
+    @classmethod
+    def from_columns(
+        cls,
+        geometry: CacheGeometry,
+        icounts: Any,
+        kinds: Any,
+        addresses: Any,
+        values: Any,
+    ) -> "ColumnarChunk":
+        """A whole trace as one chunk, address-split for ``geometry``.
+
+        Feed the engine :meth:`slices` of the result, not the whole
+        trace at once.
+        """
+        set_indices, tags, word_offsets = split_addresses(addresses, geometry)
+        return cls(
+            geometry=geometry,
+            icounts=icounts,
+            kinds=kinds,
+            addresses=addresses,
+            values=values,
+            set_indices=set_indices,
+            tags=tags,
+            word_offsets=word_offsets,
+        )
+
+    def slices(
+        self,
+        start: int = 0,
+        stop: Optional[int] = None,
+        batch_size: Optional[int] = None,
+    ) -> Iterator["ColumnarChunk"]:
+        """Zero-copy chunks of records ``[start, stop)``.
+
+        Cut every ``batch_size`` records (default
+        :data:`repro.engine.batch.DEFAULT_BATCH_SIZE`) from ``start``,
+        the same boundaries :func:`iter_chunks` gives that slice.
+        """
+        size = batch_size if batch_size is not None else DEFAULT_BATCH_SIZE
+        if size <= 0:
+            raise ValidationError(f"batch_size must be positive, got {size}")
+        end = len(self) if stop is None else min(stop, len(self))
+        for first in range(start, end, size):
+            last = min(first + size, end)
+            yield ColumnarChunk(
+                geometry=self.geometry,
+                icounts=self.icounts[first:last],
+                kinds=self.kinds[first:last],
+                addresses=self.addresses[first:last],
+                values=self.values[first:last],
+                set_indices=self.set_indices[first:last],
+                tags=self.tags[first:last],
+                word_offsets=self.word_offsets[first:last],
+            )
 
     @classmethod
     def from_access_batch(cls, batch: AccessBatch) -> "ColumnarChunk":
@@ -159,6 +219,21 @@ class ColumnarChunk:
             tags=self.tags.tolist(),
             word_offsets=self.word_offsets.tolist(),
         )
+
+
+def split_addresses(addresses: Any, geometry: CacheGeometry) -> Tuple[Any, Any, Any]:
+    """``(set_indices, tags, word_offsets)`` of a u64 address column.
+
+    The vectorized form of the split :class:`repro.engine.batch.
+    AccessBatch` decoders apply per record (``geometry.codec``'s
+    shifts and masks), as signed i64 columns.
+    """
+    codec = geometry.codec
+    return (
+        ((addresses >> codec.index_shift) & codec.index_mask).astype(np.int64),
+        ((addresses >> codec.tag_shift) & codec.tag_mask).astype(np.int64),
+        ((addresses & codec.offset_mask) >> codec.word_shift).astype(np.int64),
+    )
 
 
 def _grouped_projection(chunk: ColumnarChunk) -> Any:

@@ -48,6 +48,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cache.config import CacheGeometry
+from repro.engine.columnar import ColumnarChunk
 from repro.errors import (
     BreakerOpenError,
     CampaignFailedError,
@@ -69,8 +70,7 @@ from repro.sim.resilience import (
 )
 from repro.sim.simulator import SimulationResult, Simulator
 from repro.sram.events import SRAMEventLog
-from repro.trace.record import MemoryAccess
-from repro.workload.generator import generate_trace
+from repro.workload.generator import generate_columns
 from repro.workload.spec2006 import get_profile
 
 __all__ = [
@@ -237,30 +237,6 @@ class CampaignResult:
         )
 
 
-def _run_one(
-    trace: Sequence[MemoryAccess],
-    technique: str,
-    config: ExperimentConfig,
-    telemetry: Optional[Telemetry] = None,
-) -> SimulationResult:
-    """One (trace, technique) run with warm-up.
-
-    Runs on the Simulator's default batched engine; with telemetry
-    enabled the controller transparently falls back to per-access
-    execution so samplers and trace sinks see every request.
-    """
-    telem = telemetry if telemetry is not None else NULL_TELEMETRY
-    simulator = Simulator(technique, config.geometry, telemetry=telemetry)
-    warmup = config.warmup_accesses
-    if warmup:
-        with span(telem, "warmup", technique=technique):
-            simulator.feed(trace[:warmup])
-        simulator.reset_measurements()
-    with span(telem, "measure", technique=technique):
-        simulator.feed(trace[warmup:])
-    return simulator.finish()
-
-
 def execute_row(
     benchmark: str,
     config: ExperimentConfig,
@@ -271,18 +247,44 @@ def execute_row(
 
     Consults the fault-injection hook first, so the harness can crash,
     hang or transiently fail exactly this (benchmark, attempt).
+
+    The trace is generated once, as NumPy columns, and address-split
+    for ``config.geometry`` once.  Its warm-up slice ``[0, warmup)``
+    and measured slice ``[warmup, n)`` become lists of zero-copy
+    :class:`ColumnarChunk` views that every technique replays on the
+    columnar engine, so each chunk's grouped projection is computed
+    once per row rather than once per technique.  With telemetry
+    enabled, :func:`repro.engine.columnar.process_chunk` falls back to
+    per-access execution, so samplers and trace sinks still see every
+    request and the row stays bit-identical.
     """
     maybe_inject("worker", benchmark=benchmark, attempt=attempt)
     telem = telemetry if telemetry is not None else NULL_TELEMETRY
     profile = get_profile(benchmark)
     with span(telem, "trace_gen", benchmark=benchmark):
-        trace = generate_trace(
-            profile, config.accesses_per_benchmark, seed=config.seed
+        trace = ColumnarChunk.from_columns(
+            config.geometry,
+            *generate_columns(
+                profile, config.accesses_per_benchmark, seed=config.seed
+            ),
         )
-    results = {
-        technique: _run_one(trace, technique, config, telemetry)
-        for technique in config.techniques
-    }
+    warmup = config.warmup_accesses
+    warmup_chunks = list(trace.slices(0, warmup))
+    measure_chunks = list(trace.slices(warmup))
+    results: Dict[str, SimulationResult] = {}
+    for technique in config.techniques:
+        simulator = Simulator(
+            technique, config.geometry, telemetry=telemetry, engine="columnar"
+        )
+        if warmup:
+            with span(telem, "warmup", technique=technique):
+                simulator.feed_chunks(warmup_chunks)
+            simulator.reset_measurements()
+        with span(telem, "measure", technique=technique):
+            simulator.feed_chunks(measure_chunks)
+        results[technique] = simulator.finish()
+        # Free this technique's cache before the next one is built.
+        del simulator
     return BenchmarkRow(benchmark=benchmark, results=results)
 
 

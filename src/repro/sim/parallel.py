@@ -38,19 +38,20 @@ keeps single-CPU and restricted environments working.  The fallback is
 instant on the timeline — a campaign silently running at 1/N speed is a
 bug, not a feature.
 
-Workers execute rows through the Simulator's batched engine (see
-:mod:`repro.engine`); results are bit-identical to scalar execution, so
-parallelism and batching compose without affecting determinism.
+Workers execute rows through :func:`repro.sim.campaign.execute_row`,
+which runs every technique on the columnar engine (see
+:mod:`repro.engine`) over chunks generated once per row; results are
+bit-identical to scalar execution, so parallelism and the engine tier
+compose without affecting determinism.  The chunk's grouped projection
+(:meth:`repro.engine.columnar.ColumnarChunk.grouped`) is a pure trace
+transform, so each row computes it once, not once per technique.
 
 For trace-file campaigns the ``RPCOL1`` columnar format
 (:mod:`repro.trace.colio`) composes with this fan-out: every worker
 memory-maps the same file read-only and feeds zero-copy chunks to the
 columnar engine (``Simulator(engine="columnar").feed_chunks(...)``),
 so the OS page cache backs all workers with one physical copy of the
-trace and no per-worker deserialization.  The chunk's grouped
-projection (:meth:`repro.engine.columnar.ColumnarChunk.grouped`) is a
-pure trace transform, so a worker sweeping several techniques over the
-same chunks computes it once, not once per technique.
+trace and no per-worker deserialization.
 
 Telemetry across the pool: trace sinks do not cross process
 boundaries, so each worker collects into a private metrics-only

@@ -2,23 +2,23 @@
 
 Execution engines
 -----------------
-``Simulator`` feeds its controller through one of two engines:
+``Simulator`` feeds its controller through one of three engines:
 
-* ``"batched"`` (default) — the trace is chunked into struct-of-arrays
-  :class:`repro.engine.batch.AccessBatch` objects and handed to
-  :meth:`CacheController.process_batch`, which runs the technique's
-  specialised batched fast path when available.  Results are
-  bit-identical to scalar execution (``tests/engine/`` proves it);
+* ``"batched"`` (the constructor default) — the trace is chunked into
+  struct-of-arrays :class:`repro.engine.batch.AccessBatch` objects and
+  handed to :meth:`CacheController.process_batch`, which runs the
+  technique's specialised batched fast path when available.  Results
+  are bit-identical to scalar execution (``tests/engine/`` proves it);
   throughput is several times higher.
 * ``"scalar"`` — one :meth:`CacheController.process` call per record;
   the reference path the differential suite compares against.
-* ``"columnar"`` — the second-generation engine: chunks become NumPy
-  arrays (:class:`repro.engine.columnar.ColumnarChunk`, zero-copy when
-  read from an ``RPCOL1`` mmap via :mod:`repro.trace.colio`) and the
-  hot path runs vectorized kernels, falling back to the batched engine
-  per chunk whenever exact semantics require it.  Requires the
-  ``columnar`` extra (NumPy); construction raises
-  :class:`ValidationError` without it.
+* ``"columnar"`` — the second-generation engine, and the one campaign
+  rows (Figures 9–11, :func:`repro.sim.campaign.execute_row`) run on:
+  chunks are NumPy arrays (:class:`repro.engine.columnar.ColumnarChunk`,
+  zero-copy views of the generator's columns or of an ``RPCOL1`` mmap
+  via :mod:`repro.trace.colio`) fed through :meth:`Simulator.feed_chunks`,
+  and the hot path runs vectorized kernels, falling back to the batched
+  engine per chunk whenever exact semantics require it.
 """
 
 from __future__ import annotations

@@ -207,11 +207,20 @@ class InterleavedRowLayout:
         return counts
 
     def burst_correctable(self, first_column: int, width: int) -> bool:
-        """True when SEC-DED corrects the whole burst."""
-        return all(
-            count <= 1
-            for count in self.errors_per_word(first_column, width).values()
-        )
+        """True when SEC-DED corrects the whole burst.
+
+        Closed form of "every word in :meth:`errors_per_word` sees at
+        most one flip": consecutive columns cycle through the
+        ``words`` interleaved words, so the burst (truncated at the row
+        edge) hits distinct words exactly when it spans at most
+        ``words`` columns.
+        """
+        check_non_negative("width", width)
+        if width and first_column < 0:
+            raise ValidationError(
+                f"column {first_column} out of range [0, {self.columns})"
+            )
+        return min(width, self.columns - first_column) <= self.words
 
     def max_correctable_burst(self) -> int:
         """Widest adjacent burst guaranteed correctable anywhere.

@@ -68,27 +68,26 @@ class FaultInjector:
         self.layout = layout
         self._rng = rng
 
-    def _draw_width(self, vdd_mv: float) -> int:
-        """Geometric burst width with the voltage-dependent mean."""
-        return self._rng.geometric(mean_burst_width(vdd_mv))
-
     def inject(self, strikes: int, vdd_mv: float) -> ReliabilityReport:
         """Throw ``strikes`` independent strikes; classify each.
 
         A strike is *corrected* when every affected word sees at most
         one flipped bit (SEC-DED repairs it), *uncorrectable* otherwise.
+        Each strike draws its first column, then its geometric burst
+        width with the voltage-dependent mean.
         """
         check_positive("strikes", strikes)
-        corrected = 0
-        uncorrectable = 0
+        mean_width = mean_burst_width(vdd_mv)
+        first_column_of = self._rng.randint
+        width_of = self._rng.geometric
+        correctable = self.layout.burst_correctable
         last_column = self.layout.columns - 1
+        corrected = 0
         for _ in range(strikes):
-            first_column = self._rng.randint(0, last_column)
-            width = self._draw_width(vdd_mv)
-            if self.layout.burst_correctable(first_column, width):
+            first_column = first_column_of(0, last_column)
+            if correctable(first_column, width_of(mean_width)):
                 corrected += 1
-            else:
-                uncorrectable += 1
+        uncorrectable = strikes - corrected
         return ReliabilityReport(
             strikes=strikes,
             corrected=corrected,

@@ -35,7 +35,7 @@ shift/mask) instead of failing.
 The whole-file CRC means corruption is detected once at ``open`` time
 — a classified :class:`TraceFormatError` — rather than surfacing as
 garbage mid-campaign.  Writing and converting need only the standard
-library; *reading* requires NumPy (the ``columnar`` extra) because the
+library; *reading* requires NumPy (a core dependency) because the
 whole point of the format is zero-copy array views.
 """
 
@@ -48,9 +48,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, List, Optional, Union
 
 from repro.errors import TraceFormatError, ValidationError
-from repro.trace.record import AccessType, MemoryAccess
+from repro.trace.record import MemoryAccess, accesses_from_columns
 
-try:  # NumPy is the optional `columnar` extra; the writer works without it.
+try:  # NumPy is a core dependency; the writer alone works without it.
     import numpy
 except ImportError:  # pragma: no cover - exercised on CI without numpy
     numpy = None  # type: ignore[assignment]
@@ -81,8 +81,8 @@ PathLike = Union[str, Path]
 def _require_numpy() -> None:
     if np is None:
         raise ValidationError(
-            "reading RPCOL1 traces requires NumPy; install the "
-            "'columnar' extra (pip install repro-8t[columnar])"
+            "reading RPCOL1 traces requires NumPy, a core dependency "
+            "of repro (pip install numpy)"
         )
 
 
@@ -314,17 +314,11 @@ class ColumnarTrace:
 
     def _resplit(self, geometry: "CacheGeometry") -> None:
         """Bulk-resplit the address column under a different geometry."""
-        codec = geometry.codec
-        addresses = self.addresses
-        self.set_indices = (
-            (addresses >> codec.index_shift) & codec.index_mask
-        ).astype("<i8")
-        self.tags = ((addresses >> codec.tag_shift) & codec.tag_mask).astype(
-            "<i8"
+        from repro.engine.columnar import split_addresses
+
+        self.set_indices, self.tags, self.word_offsets = split_addresses(
+            self.addresses, geometry
         )
-        self.word_offsets = (
-            (addresses & codec.offset_mask) >> codec.word_shift
-        ).astype("<i8")
 
     def __len__(self) -> int:
         return self._count
@@ -360,24 +354,19 @@ class ColumnarTrace:
         self, batch_size: Optional[int] = None
     ) -> Iterator["ColumnarChunk"]:
         """Zero-copy :class:`ColumnarChunk` slices for the columnar engine."""
-        from repro.engine.batch import DEFAULT_BATCH_SIZE
         from repro.engine.columnar import ColumnarChunk
 
-        size = batch_size if batch_size is not None else DEFAULT_BATCH_SIZE
-        if size <= 0:
-            raise ValidationError(f"batch_size must be positive, got {size}")
-        for start in range(0, self._count, size):
-            stop = min(start + size, self._count)
-            yield ColumnarChunk(
-                geometry=self.geometry,
-                icounts=self.icounts[start:stop],
-                kinds=self.kinds[start:stop],
-                addresses=self.addresses[start:stop],
-                values=self.values[start:stop],
-                set_indices=self.set_indices[start:stop],
-                tags=self.tags[start:stop],
-                word_offsets=self.word_offsets[start:stop],
-            )
+        whole = ColumnarChunk(
+            geometry=self.geometry,
+            icounts=self.icounts,
+            kinds=self.kinds,
+            addresses=self.addresses,
+            values=self.values,
+            set_indices=self.set_indices,
+            tags=self.tags,
+            word_offsets=self.word_offsets,
+        )
+        return whole.slices(batch_size=batch_size)
 
     def batches(
         self, batch_size: Optional[int] = None
@@ -388,18 +377,12 @@ class ColumnarTrace:
 
     def accesses(self) -> Iterator[MemoryAccess]:
         """Iterate the mapping as scalar :class:`MemoryAccess` records."""
-        for icount, kind, address, value in zip(
+        return accesses_from_columns(
             self.icounts.tolist(),
             self.kinds.tolist(),
             self.addresses.tolist(),
             self.values.tolist(),
-        ):
-            yield MemoryAccess(
-                icount=icount,
-                kind=AccessType.WRITE if kind else AccessType.READ,
-                address=address,
-                value=value,
-            )
+        )
 
 
 def open_columnar_trace(

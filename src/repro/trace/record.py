@@ -17,9 +17,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterable, Iterator
+
 from repro.errors import ValidationError
 
-__all__ = ["AccessType", "MemoryAccess", "WORD_BYTES", "word_address"]
+__all__ = [
+    "AccessType",
+    "MemoryAccess",
+    "WORD_BYTES",
+    "accesses_from_columns",
+    "word_address",
+]
 
 WORD_BYTES = 8
 """Size of the data word carried by one access, in bytes."""
@@ -102,3 +110,23 @@ class MemoryAccess:
         verb = "read " if self.is_read else "write"
         suffix = f" <- {self.value:#x}" if self.is_write else ""
         return f"[i={self.icount}] {verb} {self.address:#010x}{suffix}"
+
+
+def accesses_from_columns(
+    icounts: Iterable[int],
+    kinds: Iterable[int],
+    addresses: Iterable[int],
+    values: Iterable[int],
+) -> Iterator[MemoryAccess]:
+    """Materialise records from parallel columns (``kind`` 1 = write).
+
+    The columns are plain ints; NumPy callers pass ``column.tolist()``.
+    """
+    read, write = AccessType.READ, AccessType.WRITE
+    for icount, kind, address, value in zip(icounts, kinds, addresses, values):
+        yield MemoryAccess(
+            icount=icount,
+            kind=write if kind else read,
+            address=address,
+            value=value,
+        )

@@ -70,6 +70,15 @@ class DeterministicRNG:
         """Choose one element with the given (unnormalised) weights."""
         return self._random.choices(items, weights=weights, k=1)[0]
 
+    def cumulative_choice(self, items: Sequence[T], cum_weights: Sequence[float]) -> T:
+        """Choose one element from precomputed cumulative weights.
+
+        Makes exactly the draw :meth:`weighted_choice` makes when
+        ``cum_weights == list(itertools.accumulate(weights))``, without
+        re-accumulating the weights on every call.
+        """
+        return self._random.choices(items, cum_weights=cum_weights, k=1)[0]
+
     def geometric(self, mean: float) -> int:
         """Geometric draw (support >= 1) with the given mean.
 

@@ -1,7 +1,10 @@
 """Synthetic trace generator.
 
-Turns a :class:`WorkloadProfile` into a stream of
-:class:`MemoryAccess` records.  The generation loop:
+Turns a :class:`WorkloadProfile` into a trace.  The generator's native
+output is four parallel NumPy columns (:class:`TraceColumns`: icount,
+kind, address, value), which campaigns hand straight to the columnar
+engine; :func:`generate_trace` materialises the same records as
+:class:`MemoryAccess` objects.  The generation loop:
 
 1. pick a stream (weighted) and a geometric burst length
    (``burst_mean``) — within a burst all accesses come from that stream;
@@ -16,25 +19,60 @@ Turns a :class:`WorkloadProfile` into a stream of
 
 Determinism: everything derives from ``(profile.name, seed)`` so two
 runs — or two controllers replaying the same materialised trace — see
-identical streams.
+identical streams.  There is one draw loop
+(:meth:`SyntheticTraceGenerator.generate_columns`); every other output
+form is derived from its columns.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from array import array
+from itertools import accumulate
+from typing import Any, Iterator, List, NamedTuple
 
-from repro.trace.record import AccessType, MemoryAccess, WORD_BYTES
+import numpy as np
+
+from repro.trace.record import MemoryAccess, accesses_from_columns
 from repro.utils.rng import DeterministicRNG
 from repro.utils.validation import check_positive
 from repro.workload.patterns import AddressPattern, make_pattern
 from repro.workload.profile import WorkloadProfile
 from repro.workload.values import ValueModel
 
-__all__ = ["SyntheticTraceGenerator", "generate_trace"]
+__all__ = [
+    "SyntheticTraceGenerator",
+    "TraceColumns",
+    "generate_columns",
+    "generate_trace",
+]
 
 # Streams get disjoint 1 GiB-aligned base regions so their footprints
 # never overlap (48-bit physical space leaves plenty of room).
 _REGION_SPACING = 1 << 30
+
+
+class TraceColumns(NamedTuple):
+    """A trace as four parallel NumPy columns.
+
+    ``icounts``/``addresses``/``values`` are u64 and ``kinds`` is u8
+    (``1`` for writes, ``0`` for reads — the binary trace encoding).
+    The field order matches
+    :meth:`repro.engine.columnar.ColumnarChunk.from_columns`.
+    """
+
+    icounts: Any
+    kinds: Any
+    addresses: Any
+    values: Any
+
+    def accesses(self) -> Iterator[MemoryAccess]:
+        """Iterate the columns as :class:`MemoryAccess` records."""
+        return accesses_from_columns(
+            self.icounts.tolist(),
+            self.kinds.tolist(),
+            self.addresses.tolist(),
+            self.values.tolist(),
+        )
 
 
 class SyntheticTraceGenerator:
@@ -79,57 +117,86 @@ class SyntheticTraceGenerator:
     def value_model(self) -> ValueModel:
         return self._value_model
 
-    def generate(self, num_accesses: int) -> Iterator[MemoryAccess]:
-        """Yield ``num_accesses`` records."""
-        check_positive("num_accesses", num_accesses)
-        produced = 0
-        stream_indices = list(range(len(self._patterns)))
-        while produced < num_accesses:
-            stream_index = self._stream_rng.weighted_choice(
-                stream_indices, self._weights
-            )
-            pattern = self._patterns[stream_index]
-            write_share = self._write_shares[stream_index]
-            burst_length = self._stream_rng.geometric(self.profile.burst_mean)
-            previous_kind: Optional[AccessType] = None
-            for _ in range(burst_length):
-                if produced >= num_accesses:
-                    return
-                kind = self._choose_kind(previous_kind, write_share)
-                previous_kind = kind
-                address = pattern.next_address(self._address_rng)
-                self._icount += self._gap_rng.geometric(self._gap_mean)
-                if kind is AccessType.WRITE:
-                    value = self._value_model.value_for_write(address)
-                else:
-                    value = 0
-                yield MemoryAccess(
-                    icount=self._icount,
-                    kind=kind,
-                    address=address,
-                    value=value,
-                )
-                produced += 1
+    def generate_columns(self, num_accesses: int) -> TraceColumns:
+        """Draw the next ``num_accesses`` records as :class:`TraceColumns`.
 
-    def _choose_kind(
-        self, previous: Optional[AccessType], write_share: float
-    ) -> AccessType:
-        if previous is not None and self._type_rng.maybe(
-            self.profile.type_persistence
-        ):
-            return previous
-        if self._type_rng.maybe(write_share):
-            return AccessType.WRITE
-        return AccessType.READ
+        Columns accumulate in :mod:`array` buffers (raw machine words,
+        no per-record int objects) and become NumPy views without a
+        copy.
+        """
+        check_positive("num_accesses", num_accesses)
+        profile = self.profile
+        stream_indices = list(range(len(self._patterns)))
+        cum_weights = list(accumulate(self._weights))
+        choose_stream = self._stream_rng.cumulative_choice
+        burst = self._stream_rng.geometric
+        gap = self._gap_rng.geometric
+        maybe = self._type_rng.maybe
+        address_rng = self._address_rng
+        value_for_write = self._value_model.value_for_write
+        next_addresses = [pattern.next_address for pattern in self._patterns]
+        burst_mean = profile.burst_mean
+        persistence = profile.type_persistence
+        gap_mean = self._gap_mean
+        icounts = array("Q")
+        kinds = array("B")
+        addresses = array("Q")
+        values = array("Q")
+        append_icount = icounts.append
+        append_kind = kinds.append
+        append_address = addresses.append
+        append_value = values.append
+        icount = self._icount
+        remaining = num_accesses
+        while remaining:
+            stream_index = choose_stream(stream_indices, cum_weights)
+            next_address = next_addresses[stream_index]
+            write_share = self._write_shares[stream_index]
+            length = min(burst(burst_mean), remaining)
+            remaining -= length
+            kind = -1  # no previous access in this burst
+            for _ in range(length):
+                # Repeat the previous kind with probability
+                # ``persistence``, else redraw with the stream's share.
+                if kind < 0 or not maybe(persistence):
+                    kind = 1 if maybe(write_share) else 0
+                address = next_address(address_rng)
+                icount += gap(gap_mean)
+                append_icount(icount)
+                append_kind(kind)
+                append_address(address)
+                append_value(value_for_write(address) if kind else 0)
+        self._icount = icount
+        return TraceColumns(
+            icounts=np.frombuffer(icounts, dtype=np.uint64),
+            kinds=np.frombuffer(kinds, dtype=np.uint8),
+            addresses=np.frombuffer(addresses, dtype=np.uint64),
+            values=np.frombuffer(values, dtype=np.uint64),
+        )
+
+    def generate(self, num_accesses: int) -> Iterator[MemoryAccess]:
+        """Yield the next ``num_accesses`` records.
+
+        The records are drawn up front by :meth:`generate_columns`.
+        """
+        yield from self.generate_columns(num_accesses).accesses()
+
+
+def generate_columns(
+    profile: WorkloadProfile, num_accesses: int, seed: int = 2012
+) -> TraceColumns:
+    """Synthesise a full trace for ``profile`` as NumPy columns."""
+    return SyntheticTraceGenerator(profile, seed=seed).generate_columns(
+        num_accesses
+    )
 
 
 def generate_trace(
     profile: WorkloadProfile, num_accesses: int, seed: int = 2012
 ) -> List[MemoryAccess]:
-    """Materialise a full synthetic trace for ``profile``."""
-    generator = SyntheticTraceGenerator(profile, seed=seed)
-    return list(generator.generate(num_accesses))
+    """Materialise a full synthetic trace for ``profile``.
 
+    The records are exactly :func:`generate_columns`' columns.
+    """
+    return list(generate_columns(profile, num_accesses, seed).accesses())
 
-def _word_aligned(address: int) -> bool:
-    return address % WORD_BYTES == 0

@@ -240,3 +240,24 @@ class TestChunkRoundTrip:
         chunk = next(iter_chunks(trace, tiny_geometry, 4096))
         writes = chunk.grouped()[-1]
         assert writes == sum(1 for access in trace if access.is_write)
+
+    @pytest.mark.parametrize("start, stop", [(0, 257), (0, 100), (37, 257), (37, 37)])
+    def test_column_slices_match_decoded_chunks(self, tiny_geometry, start, stop):
+        trace = make_random_trace(257, seed=44, word_span=120)
+        whole = ColumnarChunk.from_columns(
+            tiny_geometry,
+            np.array([a.icount for a in trace], dtype=np.uint64),
+            np.array([1 if a.is_write else 0 for a in trace], dtype=np.uint8),
+            np.array([a.address for a in trace], dtype=np.uint64),
+            np.array([a.value for a in trace], dtype=np.uint64),
+        )
+        sliced = [
+            chunk.to_access_batch() for chunk in whole.slices(start, stop, 64)
+        ]
+        assert sliced == list(iter_batches(trace[start:stop], tiny_geometry, 64))
+
+    def test_column_slices_validate_batch_size(self, tiny_geometry):
+        trace = make_random_trace(10, seed=45)
+        whole = next(iter_chunks(trace, tiny_geometry))
+        with pytest.raises(ValidationError):
+            list(whole.slices(batch_size=0))

@@ -2,9 +2,13 @@
 
 import pytest
 
-from repro.cache.config import CacheGeometry
-from repro.sim.campaign import run_campaign, run_geometry_sweep
+from repro.cache.config import BASELINE_GEOMETRY, CacheGeometry
+from repro.obs.spans import phase_timings
+from repro.obs.telemetry import Telemetry
+from repro.sim.campaign import execute_row, run_campaign, run_geometry_sweep
 from repro.sim.experiment import ExperimentConfig
+from repro.sim.simulator import Simulator
+from repro.workload import generate_trace, get_profile
 
 BENCHMARKS = ("bwaves", "mcf", "gcc")
 
@@ -68,3 +72,89 @@ class TestGeometrySweep:
         assert set(sweep) == {"32KB/4-way/32B", "128KB/4-way/32B"}
         for result in sweep.values():
             assert len(result.rows) == len(BENCHMARKS)
+
+
+FIG10_GEOMETRY = CacheGeometry(32 * 1024, 4, 64)
+FIG11_GEOMETRIES = (CacheGeometry(32 * 1024, 4, 32), CacheGeometry(128 * 1024, 4, 32))
+
+
+def scalar_reference_row(benchmark, config):
+    """The row as record-at-a-time scalar execution computes it."""
+    trace = generate_trace(
+        get_profile(benchmark), config.accesses_per_benchmark, seed=config.seed
+    )
+    warmup = config.warmup_accesses
+    results = {}
+    for technique in config.techniques:
+        simulator = Simulator(technique, config.geometry, engine="scalar")
+        if warmup:
+            simulator.feed(trace[:warmup])
+            simulator.reset_measurements()
+        simulator.feed(trace[warmup:])
+        results[technique] = simulator.finish()
+    return results
+
+
+def assert_rows_equal(actual, expected):
+    assert list(actual) == list(expected)
+    for technique, want in expected.items():
+        got = actual[technique]
+        assert got.events == want.events, technique
+        assert got.counts == want.counts, technique
+        assert got.cache_stats == want.cache_stats, technique
+        assert got.requests == want.requests, technique
+
+
+class TestColumnarRowDifferential:
+    """``execute_row`` (columnar, chunks shared across techniques) is
+    bit-identical to scalar replay of the materialised trace."""
+
+    @pytest.mark.parametrize("warmup_fraction", [0.0, 0.1, 0.37])
+    @pytest.mark.parametrize(
+        "geometry", (FIG10_GEOMETRY,) + FIG11_GEOMETRIES, ids=lambda g: g.describe()
+    )
+    def test_matches_scalar_reference(self, geometry, warmup_fraction):
+        # 4,500 records: the measured slice crosses a 4,096-record chunk
+        # boundary without warm-up and ends mid-chunk either way.
+        config = ExperimentConfig(
+            geometry=geometry,
+            benchmarks=BENCHMARKS,
+            accesses_per_benchmark=4500,
+            warmup_fraction=warmup_fraction,
+            seed=2012,
+        )
+        for benchmark in BENCHMARKS:
+            row = execute_row(benchmark, config)
+            assert_rows_equal(row.results, scalar_reference_row(benchmark, config))
+
+    def test_both_slices_span_several_chunks(self):
+        config = ExperimentConfig(
+            geometry=FIG10_GEOMETRY,
+            benchmarks=BENCHMARKS,
+            accesses_per_benchmark=13_001,
+            warmup_fraction=0.37,
+            seed=7,
+        )
+        assert config.warmup_accesses > 4096
+        for benchmark in BENCHMARKS:
+            row = execute_row(benchmark, config)
+            assert_rows_equal(row.results, scalar_reference_row(benchmark, config))
+
+    def test_telemetry_on_matches_off_and_keeps_the_spans(self):
+        config = ExperimentConfig(
+            geometry=BASELINE_GEOMETRY,
+            benchmarks=BENCHMARKS,
+            accesses_per_benchmark=4999,
+            seed=2012,
+        )
+        for benchmark in BENCHMARKS:
+            telemetry = Telemetry()
+            observed = execute_row(benchmark, config, telemetry)
+            assert_rows_equal(
+                observed.results, execute_row(benchmark, config).results
+            )
+            calls = {
+                name: count for name, count, _, _ in phase_timings(telemetry.registry)
+            }
+            techniques = len(config.techniques)
+            assert calls == {"trace_gen": 1, "warmup": techniques, "measure": techniques}

@@ -134,3 +134,27 @@ class TestUpsetBursts:
             count <= 1 for count in layout.errors_per_word(start, width).values()
         )
         assert layout.burst_correctable(start, width) == expected
+
+    @pytest.mark.parametrize("words", [1, 2, 3, 16])
+    def test_closed_form_matches_errors_per_word_exhaustively(self, words):
+        layout = InterleavedRowLayout(words=words)
+        for start in range(layout.columns):
+            for width in range(2 * words + 3):
+                expected = all(
+                    count <= 1
+                    for count in layout.errors_per_word(start, width).values()
+                )
+                assert layout.burst_correctable(start, width) == expected, (
+                    start,
+                    width,
+                )
+
+    def test_correctability_validates_its_arguments(self):
+        layout = InterleavedRowLayout(words=4)
+        with pytest.raises(ValueError):
+            layout.burst_correctable(0, -1)
+        with pytest.raises(ValueError):
+            layout.burst_correctable(-1, 2)
+        # Past the row edge the burst is empty, as errors_per_word has it.
+        assert layout.burst_correctable(layout.columns, 9)
+        assert layout.errors_per_word(layout.columns, 9) == {}

@@ -1,11 +1,19 @@
 """Unit tests for the synthetic trace generator."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.trace.record import WORD_BYTES
 from repro.trace.stats import collect_statistics
-from repro.workload.generator import SyntheticTraceGenerator, generate_trace
+from repro.workload.generator import (
+    SyntheticTraceGenerator,
+    generate_columns,
+    generate_trace,
+)
 from repro.workload.profile import StreamSpec, WorkloadProfile
+from repro.workload.spec2006 import benchmark_names, get_profile
 
 
 def _profile(**overrides):
@@ -124,3 +132,58 @@ class TestStatisticalTargets:
         generator = SyntheticTraceGenerator(_profile(), seed=6)
         list(generator.generate(1000))
         assert generator.value_model.total_writes > 0
+
+
+#: SHA-256 over (icount, kind, address, value) of every SPEC profile's
+#: trace, in ``benchmark_names()`` order, each column as little-endian
+#: u64.  Recorded from the record-at-a-time generator before it emitted
+#: columns; any change to the draw order changes these.
+TRACE_DIGESTS = {
+    (2012, 1): "cb1a44d1fdbe541685099b50ebdf19d5a740e2f08f2d817ad9cc636e53a9f655",
+    (2012, 4097): "d87bc2d9267f08d8ea3384119e680e8a51f72cd6e447b77309a7a77b0b8f6d14",
+    (2012, 20000): "4f5629dead587e6f1eb63bd91c2ea80e6a7d24394c94a36b651c6d5b6336b81d",
+    (7, 1): "3023f6a641b1adbd43afe67fb0fedfca9728c629eaa93b04754410a30f6752a3",
+    (7, 4097): "ce234b4423d57bc71140aad6b998c1478e566e922338c84b8c58f83facddd638",
+    (7, 20000): "9cd37bd4b289e80f542ded0007029a24187aecc96fc37ac4d63edcb3d41c1262",
+}
+
+
+def _digest(columns_of):
+    digest = hashlib.sha256()
+    for name in benchmark_names():
+        for column in columns_of(get_profile(name)):
+            digest.update(np.asarray(column, dtype="<u8").tobytes())
+    return digest.hexdigest()
+
+
+class TestBitIdentityPin:
+    @pytest.mark.parametrize("seed, length", sorted(TRACE_DIGESTS))
+    def test_columns_reproduce_the_pinned_traces(self, seed, length):
+        def columns_of(profile):
+            columns = generate_columns(profile, length, seed=seed)
+            assert columns.icounts.dtype == np.uint64
+            assert columns.kinds.dtype == np.uint8
+            assert len(columns.kinds) == length
+            return columns
+
+        assert _digest(columns_of) == TRACE_DIGESTS[seed, length]
+
+    @pytest.mark.parametrize("seed, length", sorted(TRACE_DIGESTS))
+    def test_records_reproduce_the_pinned_traces(self, seed, length):
+        def columns_of(profile):
+            trace = generate_trace(profile, length, seed=seed)
+            return (
+                [access.icount for access in trace],
+                [1 if access.is_write else 0 for access in trace],
+                [access.address for access in trace],
+                [access.value for access in trace],
+            )
+
+        assert _digest(columns_of) == TRACE_DIGESTS[seed, length]
+
+    def test_generator_state_carries_across_calls(self):
+        """Two draws continue one stream: icounts keep rising."""
+        generator = SyntheticTraceGenerator(_profile(), seed=8)
+        first = generator.generate_columns(300)
+        second = generator.generate_columns(300)
+        assert int(second.icounts[0]) > int(first.icounts[-1])
