@@ -65,17 +65,6 @@ def main(argv=None) -> int:
 
     engines = {"scalar", "batched"}
     engines.update(args.engines or ())
-    if "columnar" in engines:
-        from repro.engine.columnar import HAVE_NUMPY
-
-        if not HAVE_NUMPY:
-            print(
-                "warning: --engine columnar requested but NumPy is not "
-                "installed (pip install numpy); skipping "
-                "the columnar tier",
-                file=sys.stderr,
-            )
-            engines.discard("columnar")
 
     results = run_hotpath_bench(
         accesses=args.accesses,

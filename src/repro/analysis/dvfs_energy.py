@@ -10,11 +10,11 @@ The introduction's argument chain, priced out:
 * **8T + WG+RB** keeps the low voltage *and* eliminates most of the RMW
   tax: the configuration the paper is arguing for.
 
-For each benchmark this analysis runs the matching controller, charges
-dynamic energy from its event log at the cell's floor voltage, and adds
-leakage integrated over the run's elapsed cycles (from the timing
-model, at the floor level's frequency).  The result is total cache
-energy per configuration — who wins, and by how much.
+For each benchmark this analysis runs the matching controller through
+the timing model, charges dynamic energy from the same run's event log
+at the cell's floor voltage, and adds leakage integrated over the run's
+elapsed cycles (at the floor level's frequency).  The result is total
+cache energy per configuration — who wins, and by how much.
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ from typing import Optional, Sequence, Union
 from repro.analysis.estimators import resolve_estimator
 from repro.analysis.result import FigureResult
 from repro.cache.config import BASELINE_GEOMETRY, CacheGeometry
+from repro.engine.columnar import ColumnarChunk
 from repro.perf.timing import TimingSimulator
 from repro.power.estimator import EstimationQuery, EstimatorRegistry
 from repro.power.params import TECH_45NM, TechnologyParams
 from repro.power.voltage import DVFSController
-from repro.sim.simulator import run_simulation
-from repro.trace.stream import materialize
-from repro.workload.generator import generate_trace
+from repro.workload.generator import generate_columns
 from repro.workload.spec2006 import benchmark_names, get_profile
 
 __all__ = ["dvfs_energy_endgame"]
@@ -63,21 +62,26 @@ def dvfs_energy_endgame(
     rows = []
     totals = {label: 0.0 for label, _, _ in _CONFIGS}
     for name in names:
-        trace = materialize(generate_trace(get_profile(name), accesses, seed=seed))
+        chunks = list(
+            ColumnarChunk.from_columns(
+                geometry,
+                *generate_columns(get_profile(name), accesses, seed=seed),
+            ).slices()
+        )
         row = [name]
         for label, technique, cell in _CONFIGS:
             level = floors[label]
-            sim_result = run_simulation(trace, technique, geometry)
+            simulator = TimingSimulator(technique, geometry)
+            perf = simulator.run_chunks(chunks)
             dynamic_fj = registry.estimate(
                 EstimationQuery.dynamic_energy(
-                    sim_result.events,
+                    simulator.controller.events,
                     geometry,
                     cell_kind=cell,
                     node_nm=technology.node_nm,
                     vdd_mv=level.vdd_mv,
                 )
             )["total_fj"]
-            perf = TimingSimulator(technique, geometry).run(trace)
             elapsed_seconds = perf.elapsed_cycles / (
                 level.frequency_ghz * 1e9
             )

@@ -5,15 +5,18 @@ One :func:`run_differential` call replays a single trace through
 * the :class:`repro.check.oracle.ReferenceOracle` (independent model),
 * the scalar engine (``CacheController.process`` per record),
 * the batched engine (``Simulator(engine="batched")``), and
-* the columnar engine (``Simulator(engine="columnar")``) whenever
-  NumPy is installed — the leg is skipped silently without it,
+* the columnar engine (:func:`repro.engine.columnar.process_chunk` on
+  a ``Simulator(engine="columnar")`` controller), collecting the
+  per-record port-plan column the timing model schedules from,
 
 then compares every observable the models share: per-read values
 (oracle vs scalar, access by access), circuit events, operation counts,
-hit/miss statistics, and the final memory image after draining the
-controller and flushing every dirty line.  The return value is a flat
-list of human-readable divergence strings — empty means the models
-agree on everything.
+hit/miss statistics, the port-plan column (columnar vs
+:func:`repro.core.outcomes.port_plan` of each scalar outcome, record by
+record), and the final memory image after draining the controller and
+flushing every dirty line.  The return value is a flat list of
+human-readable divergence strings — empty means the models agree on
+everything.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheGeometry
 from repro.cache.memory import FunctionalMemory
 from repro.check.oracle import ORACLE_TECHNIQUES, OracleRun, ReferenceOracle
+from repro.core.outcomes import port_plan
 from repro.core.registry import make_controller
-from repro.engine.columnar import HAVE_NUMPY
+from repro.engine.columnar import iter_chunks, process_chunk
 from repro.sim.simulator import Simulator
 from repro.trace.record import MemoryAccess
 
@@ -75,13 +79,23 @@ def _run_engine(
     batch_size: Optional[int],
     engine: str,
 ):
+    """Engine run; returns (result, memory, plan).
+
+    ``plan`` is the columnar leg's port-plan column, None for batched.
+    """
     simulator = Simulator(
         technique, geometry, engine=engine, batch_size=batch_size, **kwargs
     )
-    simulator.feed(list(trace))
+    plan = None
+    if engine == "columnar":
+        plan = bytearray()
+        for chunk in iter_chunks(trace, geometry, batch_size):
+            process_chunk(simulator.controller, chunk, plan)
+    else:
+        simulator.feed(list(trace))
     result = simulator.finish()
     simulator.cache.flush_all_dirty()
-    return result, simulator.memory.snapshot()
+    return result, simulator.memory.snapshot(), plan
 
 
 def _diff_mapping(
@@ -98,6 +112,25 @@ def _as_dict(obj) -> Dict[str, int]:
     return {
         f.name: getattr(obj, f.name) for f in dataclass_fields(type(obj))
     }
+
+
+def _diff_plan(
+    label: str,
+    trace: Sequence[MemoryAccess],
+    outcomes,
+    plan: bytearray,
+) -> List[str]:
+    """The first record whose port-plan code differs, if any."""
+    expected = bytes(port_plan(outcome) for outcome in outcomes)
+    if expected == plan:
+        return []
+    if len(expected) != len(plan):
+        return [f"{label} plan: {len(plan)} codes for {len(expected)} records"]
+    i = next(i for i, (a, b) in enumerate(zip(expected, plan)) if a != b)
+    return [
+        f"{label} plan at access {i} ({trace[i].describe()}): "
+        f"expected {expected[i]}, got {plan[i]}"
+    ]
 
 
 def _nonzero(memory: Dict[int, int]) -> Dict[int, int]:
@@ -133,14 +166,13 @@ def run_differential(
     divergences: List[str] = []
 
     # -- scalar vs batched / columnar: must be bit-identical ----------------
-    engines = ["batched"]
-    if HAVE_NUMPY:
-        engines.append("columnar")
-    for engine in engines:
-        candidate, candidate_memory = _run_engine(
+    for engine in ("batched", "columnar"):
+        candidate, candidate_memory, plan = _run_engine(
             trace, technique, geometry, kwargs, batch_size, engine
         )
         label = f"scalar-vs-{engine}"
+        if plan is not None:
+            divergences += _diff_plan(label, trace, outcomes, plan)
         divergences += _diff_mapping(
             f"{label} events",
             controller.events.to_dict(),

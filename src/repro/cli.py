@@ -676,17 +676,6 @@ def _cmd_bench(args) -> int:
 
     engines = {"scalar", "batched"}
     engines.update(getattr(args, "engines", None) or ())
-    if "columnar" in engines:
-        from repro.engine.columnar import HAVE_NUMPY
-
-        if not HAVE_NUMPY:
-            print(
-                "warning: --engine columnar requested but NumPy is not "
-                "installed (pip install numpy); skipping the "
-                "columnar tier",
-                file=sys.stderr,
-            )
-            engines.discard("columnar")
     results = run_hotpath_bench(
         techniques=tuple(args.techniques),
         accesses=args.accesses,
@@ -1178,8 +1167,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ENGINE",
         help=(
             "engine tier to measure (repeatable); scalar and batched are "
-            "always timed, '--engine columnar' adds the columnar tier "
-            "(needs NumPy; skipped with a warning when absent)"
+            "always timed, '--engine columnar' adds the columnar tier"
         ),
     )
     sub.add_argument(

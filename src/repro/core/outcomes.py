@@ -5,7 +5,16 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-__all__ = ["ServedFrom", "AccessOutcome", "OperationCounts"]
+__all__ = [
+    "ServedFrom",
+    "AccessOutcome",
+    "OperationCounts",
+    "PLAN_FORCED_WRITEBACK",
+    "PLAN_ARRAY_READ",
+    "PLAN_ARRAY_WRITE",
+    "PLAN_BYPASS",
+    "port_plan",
+]
 
 
 class ServedFrom(enum.Enum):
@@ -44,6 +53,34 @@ class AccessOutcome:
     @property
     def array_accesses(self) -> int:
         return self.array_reads + self.array_writes
+
+
+#: Port-plan bits: the part of an :class:`AccessOutcome` the port
+#: scheduler (:mod:`repro.perf.timing`) needs, one byte per record.
+PLAN_FORCED_WRITEBACK = 1  # a Set-Buffer write-back went first
+PLAN_ARRAY_READ = 2  # the request read an array row
+PLAN_ARRAY_WRITE = 4  # the request wrote an array row (not a forced write-back)
+PLAN_BYPASS = 8  # a read served from the Set-Buffer, on no port
+
+
+def port_plan(outcome: AccessOutcome) -> int:
+    """The port-plan code of one outcome.
+
+    The one definition of the code: the columnar kernels
+    (:func:`repro.engine.columnar.process_chunk`) emit the same bits
+    without building outcomes, and the differential check compares the
+    two record by record.
+    """
+    code = 0
+    if outcome.forced_writeback:
+        code |= PLAN_FORCED_WRITEBACK
+    elif outcome.array_writes:
+        code |= PLAN_ARRAY_WRITE
+    if outcome.array_reads:
+        code |= PLAN_ARRAY_READ
+    if outcome.bypassed:
+        code |= PLAN_BYPASS
+    return code
 
 
 @dataclass

@@ -18,13 +18,7 @@ from repro.engine.bench import (
     bench_report,
     run_hotpath_bench,
 )
-from repro.engine.columnar import (
-    HAVE_NUMPY,
-    ColumnarChunk,
-    iter_chunks,
-    process_chunk,
-    require_numpy,
-)
+from repro.engine.columnar import ColumnarChunk, iter_chunks, process_chunk
 
 __all__ = [
     "AccessBatch",
@@ -33,9 +27,7 @@ __all__ = [
     "BenchResult",
     "bench_report",
     "run_hotpath_bench",
-    "HAVE_NUMPY",
     "ColumnarChunk",
     "iter_chunks",
     "process_chunk",
-    "require_numpy",
 ]

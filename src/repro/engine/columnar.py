@@ -45,12 +45,22 @@ falls back to the batched engine for the whole chunk.  The four-way
 scalar↔batched↔columnar↔oracle differential in ``tests/engine/`` and
 ``repro/check/`` enforces bit-identity across all of it.
 
+Port plans
+----------
+The timing model (:mod:`repro.perf.timing`) needs one fact per record
+that the aggregate counters lose: which array ports the request
+occupied.  Passing ``plan`` (a ``bytearray``) to :func:`process_chunk`
+appends one :func:`repro.core.outcomes.port_plan` code per record, in
+trace order.  The conventional/RMW kernel derives the codes from the
+kind column; the WG kernel writes the exceptions (premature write-back,
+bypass, Tag-Buffer miss) inside its trace-order loop; a chunk the
+kernels cannot run goes record by record through ``process()`` and the
+encoder itself.
+
 Campaign rows run on this engine (:func:`repro.sim.campaign.
 execute_row`): the generator's columns become one whole-trace chunk
 (:meth:`ColumnarChunk.from_columns`) whose zero-copy :meth:`slices`
-every technique replays.  NumPy is a core dependency;
-:func:`require_numpy` raises a :class:`ValidationError` when it is
-missing.
+every technique replays.
 """
 
 from __future__ import annotations
@@ -58,43 +68,32 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Tuple
 
+import numpy as np
+
 from repro.cache.config import CacheGeometry
+from repro.core.outcomes import (
+    PLAN_ARRAY_READ,
+    PLAN_ARRAY_WRITE,
+    PLAN_BYPASS,
+    PLAN_FORCED_WRITEBACK,
+    port_plan,
+)
 from repro.engine.batch import DEFAULT_BATCH_SIZE, AccessBatch, iter_batches
 from repro.errors import StateError, ValidationError
 from repro.trace.record import MemoryAccess
-
-try:
-    import numpy
-except ImportError:  # pragma: no cover - exercised on CI without numpy
-    numpy = None  # type: ignore[assignment]
-
-np: Any = numpy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.controller import CacheController
     from repro.core.write_grouping import WriteGroupingController
 
 __all__ = [
-    "HAVE_NUMPY",
     "ColumnarChunk",
-    "require_numpy",
     "iter_chunks",
     "process_chunk",
     "split_addresses",
 ]
 
-HAVE_NUMPY = np is not None
-
 _NO_TAG = -1
-
-
-def require_numpy() -> None:
-    """Raise :class:`ValidationError` unless NumPy is importable."""
-    if np is None:
-        raise ValidationError(
-            "engine='columnar' requires NumPy, a core dependency of "
-            "repro (pip install numpy)"
-        )
 
 
 @dataclass
@@ -195,7 +194,6 @@ class ColumnarChunk:
     @classmethod
     def from_access_batch(cls, batch: AccessBatch) -> "ColumnarChunk":
         """Lift a list-based batch into array form."""
-        require_numpy()
         return cls(
             geometry=batch.geometry,
             icounts=np.array(batch.icounts, dtype=np.uint64),
@@ -310,20 +308,25 @@ def iter_chunks(
     Streaming like :func:`repro.engine.batch.iter_batches` (which does
     the decode); this adds only the list→array lift per chunk.
     """
-    require_numpy()
     for batch in iter_batches(trace, geometry, batch_size):
         yield ColumnarChunk.from_access_batch(batch)
 
 
-def process_chunk(controller: "CacheController", chunk: ColumnarChunk) -> int:
+def process_chunk(
+    controller: "CacheController",
+    chunk: ColumnarChunk,
+    plan: Optional[bytearray] = None,
+) -> int:
     """Run one chunk through the columnar kernels; returns records consumed.
 
     Mirrors :meth:`CacheController.process_batch`'s contract (finalized
     check, geometry check, gating) and falls back to the batched engine
     — itself gated down to scalar when needed — whenever the columnar
-    kernels cannot reproduce the exact semantics.
+    kernels cannot reproduce the exact semantics.  With ``plan`` given,
+    one port-plan code per record is appended to it (see the module
+    docstring); the fallback then replays the chunk through
+    ``process()`` so every record yields its outcome.
     """
-    require_numpy()
     if controller._finalized:  # noqa: SLF001 - engine contract
         raise StateError("controller already finalized")
     if chunk.geometry != controller.cache.geometry:
@@ -343,12 +346,26 @@ def process_chunk(controller: "CacheController", chunk: ColumnarChunk) -> int:
     )
     if fast_ok and name in ("conventional", "rmw"):
         _process_chunk_plain(controller, chunk, is_rmw=name == "rmw")
+        if plan is not None:
+            write_code = PLAN_ARRAY_WRITE
+            if name == "rmw":
+                write_code |= PLAN_ARRAY_READ
+            codes = np.where(chunk.kinds, write_code, PLAN_ARRAY_READ)
+            plan += codes.astype(np.uint8).tobytes()
     elif (
         fast_ok
         and name in ("wg", "wg_rb")
         and len(controller._entries) == 1  # noqa: SLF001
     ):
-        _process_chunk_wg(controller, chunk)  # type: ignore[arg-type]
+        codes = _process_chunk_wg(controller, chunk)  # type: ignore[arg-type]
+        if plan is not None:
+            plan += codes
+    elif plan is not None:
+        process = controller.process
+        plan += bytes(
+            port_plan(process(access))
+            for access in chunk.to_access_batch().accesses()
+        )
     else:
         return controller.process_batch(chunk.to_access_batch())
     return n
@@ -516,7 +533,7 @@ def _process_chunk_plain(
 
 def _process_chunk_wg(
     controller: "WriteGroupingController", chunk: ColumnarChunk
-) -> None:
+) -> bytearray:
     """Columnar kernel for WG / WG+RB with a single buffer entry.
 
     Runs in trace order (the buffer is global state), but the whole
@@ -529,6 +546,10 @@ def _process_chunk_wg(
     buffer objects are rematerialized once at chunk end.  Consecutive
     same-(kind, set) runs are pre-grouped vectorized so the inner write
     loop consumes whole runs without rescanning.
+
+    Returns the chunk's port-plan codes.  They start as the common
+    case (reads: one array read; writes: grouped, no array access), and
+    the loop overwrites the exceptions at their trace positions.
     """
     cache = controller.cache
     tags_by_set = cache._tags  # noqa: SLF001 - engine contract
@@ -584,6 +605,9 @@ def _process_chunk_wg(
     run_bounds = np.concatenate((change, [n]))
     run_starts = np.concatenate(([0], change))
     run_end_l = np.repeat(run_bounds, run_bounds - run_starts).tolist()
+    codes = bytearray(
+        np.where(kinds, 0, PLAN_ARRAY_READ).astype(np.uint8).tobytes()
+    )
 
     reads = 0  # read requests
     read_hits = 0  # of which cache hits
@@ -617,6 +641,7 @@ def _process_chunk_wg(
                     if bypass_reads:
                         row_reads -= 1
                         bypassed += 1
+                        codes[i] = PLAN_BYPASS
                     elif buffer_dirty:
                         # WG: premature write-back, inlined.
                         target = data_by_set[s]
@@ -627,6 +652,7 @@ def _process_chunk_wg(
                         modified.clear()
                         buffer_dirty = False
                         premature_wb += 1
+                        codes[i] = PLAN_FORCED_WRITEBACK | PLAN_ARRAY_READ
                         if dirty_since is not None:
                             residency = ic_l[i] - dirty_since
                             if residency < 0:
@@ -754,7 +780,9 @@ def _process_chunk_wg(
                 # refill it with this set — Algorithm 1's write path,
                 # inlined (``_write_back(entry, "eviction")`` +
                 # ``_fill_entry``).
+                codes[k] = PLAN_ARRAY_READ
                 if buffer_dirty:
+                    codes[k] |= PLAN_FORCED_WRITEBACK
                     target = data_by_set[buffered_set]
                     target_dirty = dirty_by_set[buffered_set]
                     for bway, bword in modified:
@@ -866,3 +894,4 @@ def _process_chunk_wg(
         events.row_writes += mt_fills
         events.words_driven += mt_fills * row_words
         counts.rmw_operations += mt_fills
+    return codes

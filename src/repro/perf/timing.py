@@ -21,32 +21,47 @@ Reads are on the critical path; the headline metric is mean read
 latency (arrival to data), plus read-port conflict counts showing the
 1R/1W parallelism RMW destroys and WG restores.
 
-This model deliberately drives the controller through the scalar
-``process()`` path: it consumes the per-access :class:`AccessOutcome`
-(which operations fired, in what order) that the batched engine
-(:mod:`repro.engine`) skips building.
+The controller runs on the columnar engine: :func:`repro.engine.
+columnar.process_chunk` emits one port-plan code per record (see
+:func:`repro.core.outcomes.port_plan`), and the scheduler is a single
+loop over the plain-int ``(icount, kind, plan)`` columns.  Sub-array
+banked controllers (``rmw_local``) schedule each bank's records on that
+bank's :class:`PortTracker`; banks share no port, so the per-bank loops
+are independent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
-from repro.cache.config import CacheGeometry
-from repro.core.outcomes import AccessOutcome
-from repro.core.registry import make_controller
+import numpy as np
+
 from repro.cache.cache import SetAssociativeCache
+from repro.cache.config import CacheGeometry
+from repro.core.outcomes import (
+    PLAN_ARRAY_READ,
+    PLAN_ARRAY_WRITE,
+    PLAN_BYPASS,
+    PLAN_FORCED_WRITEBACK,
+)
+from repro.core.registry import make_controller
+from repro.engine.columnar import ColumnarChunk, iter_chunks, process_chunk
+from repro.errors import TypeContractError
 from repro.sram.ports import PortKind, PortTracker
 from repro.sram.timing import PhaseTiming
 from repro.trace.record import MemoryAccess
-from repro.errors import TypeContractError
 
 __all__ = ["PerfResult", "TimingSimulator", "evaluate_performance"]
 
 
 @dataclass(frozen=True)
 class PerfResult:
-    """Timing metrics of one run."""
+    """Timing metrics of one run.
+
+    ``read_port_busy`` sums over ``read_ports`` ports (one per sub-array
+    for banked controllers).
+    """
 
     technique: str
     reads: int
@@ -58,6 +73,7 @@ class PerfResult:
     write_port_busy: int
     elapsed_cycles: int
     bypassed_reads: int
+    read_ports: int = 1
 
     @property
     def mean_read_latency(self) -> float:
@@ -65,9 +81,12 @@ class PerfResult:
 
     @property
     def read_port_utilisation(self) -> float:
+        """Mean busy fraction of one read port over the run."""
         if self.elapsed_cycles <= 0:
             return 0.0
-        return min(1.0, self.read_port_busy / self.elapsed_cycles)
+        return min(
+            1.0, self.read_port_busy / (self.read_ports * self.elapsed_cycles)
+        )
 
 
 class TimingSimulator:
@@ -100,37 +119,44 @@ class TimingSimulator:
         self._writes = 0
         self._total_read_latency = 0
         self._bypassed = 0
-        self._last_cycle = 0
-
-    def _tracker_for(self, access: MemoryAccess) -> PortTracker:
-        if len(self._trackers) == 1:
-            return self._trackers[0]
-        set_index = self.cache.mapper.set_index(access.address)
-        return self._trackers[self.controller.subarray_of(set_index)]
+        self._last_arrival = 0
 
     def run(self, trace: Iterable[MemoryAccess]) -> PerfResult:
-        timing = self.timing
-        for access in trace:
-            arrival = access.icount
-            tracker = self._tracker_for(access)
-            outcome = self.controller.process(access)
-            if access.is_read:
-                self._reads += 1
-                self._total_read_latency += self._schedule_read(
-                    tracker, arrival, outcome, timing
+        """Decode ``trace`` into columnar chunks and :meth:`run_chunks`."""
+        return self.run_chunks(iter_chunks(trace, self.cache.geometry))
+
+    def run_chunks(self, chunks: Iterable[ColumnarChunk]) -> PerfResult:
+        """Schedule pre-built chunks (e.g. shared by several techniques),
+        then finalize the controller."""
+        controller = self.controller
+        trackers = self._trackers
+        for chunk in chunks:
+            plan = bytearray()
+            process_chunk(controller, chunk, plan)
+            if not len(chunk):
+                continue
+            self._last_arrival = max(self._last_arrival, int(chunk.icounts.max()))
+            if len(trackers) == 1:
+                self._schedule(
+                    trackers[0], chunk.icounts.tolist(), chunk.kinds.tolist(), plan
                 )
-            else:
-                self._writes += 1
-                self._schedule_write(tracker, arrival, outcome, timing)
-            self._last_cycle = max(
-                self._last_cycle,
-                tracker.free_at[PortKind.READ],
-                tracker.free_at[PortKind.WRITE],
-                arrival,
+                continue
+            bank_of = np.array(
+                [controller.subarray_of(s) for s in chunk.set_indices.tolist()]
             )
-        self.controller.finalize()
+            codes = np.frombuffer(plan, dtype=np.uint8)
+            for bank, tracker in enumerate(trackers):
+                sel = np.flatnonzero(bank_of == bank)
+                if len(sel):
+                    self._schedule(
+                        tracker,
+                        chunk.icounts[sel].tolist(),
+                        chunk.kinds[sel].tolist(),
+                        codes[sel].tolist(),
+                    )
+        controller.finalize()
         return PerfResult(
-            technique=self.controller.name,
+            technique=controller.name,
             reads=self._reads,
             writes=self._writes,
             total_read_latency=self._total_read_latency,
@@ -138,62 +164,89 @@ class TimingSimulator:
             write_port_conflicts=self._sum(PortKind.WRITE, "conflicts"),
             read_port_busy=self._sum(PortKind.READ, "busy_cycles"),
             write_port_busy=self._sum(PortKind.WRITE, "busy_cycles"),
-            elapsed_cycles=self._last_cycle,
+            elapsed_cycles=max(
+                [self._last_arrival]
+                + [max(tracker.free_at.values()) for tracker in trackers]
+            ),
             bypassed_reads=self._bypassed,
+            read_ports=len(trackers),
         )
 
     def _sum(self, port: PortKind, field: str) -> int:
         return sum(getattr(tracker, field)[port] for tracker in self._trackers)
 
-    # -- scheduling ---------------------------------------------------------------
-
-    def _schedule_read(
+    def _schedule(
         self,
         tracker: PortTracker,
-        arrival: int,
-        outcome: AccessOutcome,
-        timing: PhaseTiming,
-    ) -> int:
-        if outcome.bypassed:
-            # Served from the Set-Buffer: short fixed latency, no port.
-            self._bypassed += 1
-            return timing.set_buffer_cycles
-        start = arrival
-        if outcome.forced_writeback:
-            # The premature write-back must land before the array read.
-            writeback_start = tracker.acquire(
-                PortKind.WRITE, arrival, self._write_cycles
-            )
-            start = writeback_start + self._write_cycles
-        read_start = tracker.acquire(
-            PortKind.READ, start, timing.array_read_cycles
-        )
-        finish = read_start + timing.array_read_cycles
-        return finish - arrival
-
-    def _schedule_write(
-        self,
-        tracker: PortTracker,
-        arrival: int,
-        outcome: AccessOutcome,
-        timing: PhaseTiming,
+        icounts: List[int],
+        kinds: List[int],
+        plan: Sequence[int],
     ) -> None:
-        # Writes are off the critical path; they only occupy ports.
-        start = arrival
-        if outcome.forced_writeback:
-            writeback_start = tracker.acquire(
-                PortKind.WRITE, start, self._write_cycles
-            )
-            start = writeback_start + self._write_cycles
-        if outcome.array_reads:
-            # RMW read phase / Set-Buffer fill occupies the read port.
-            read_start = tracker.acquire(
-                PortKind.READ, start, timing.array_read_cycles
-            )
-            start = read_start + timing.array_read_cycles
-        if outcome.array_writes and not outcome.forced_writeback:
-            # RMW write-back phase (grouped writes never get here).
-            tracker.acquire(PortKind.WRITE, start, self._write_cycles)
+        """Schedule one tracker's records, in trace order.
+
+        The same reservations :meth:`PortTracker.acquire` makes, with the
+        tracker's state held in locals: an operation starts when both
+        its dependency and its port are ready, and a conflict is counted
+        whenever the port made it wait.  Every read-port operation lasts
+        ``array_read_cycles`` and every write-port one the (possibly
+        pulse-stretched) write time, so busy cycles are operation counts
+        times those durations.  Port free times only grow, so the run's
+        elapsed time is read off the trackers at the end.
+        """
+        read_cycles = self.timing.array_read_cycles
+        write_cycles = self._write_cycles
+        buffer_cycles = self.timing.set_buffer_cycles
+        read_free = tracker.free_at[PortKind.READ]
+        write_free = tracker.free_at[PortKind.WRITE]
+        read_ops = write_ops = read_conflicts = write_conflicts = 0
+        reads = latency = bypassed = 0
+        for arrival, kind, code in zip(icounts, kinds, plan):
+            if not kind:
+                reads += 1
+                if code & PLAN_BYPASS:
+                    # Served from the Set-Buffer: short fixed latency,
+                    # no port.
+                    bypassed += 1
+                    latency += buffer_cycles
+                    continue
+            start = arrival
+            if code & PLAN_FORCED_WRITEBACK:
+                # The Set-Buffer write-back must land first.
+                if write_free > start:
+                    write_conflicts += 1
+                    start = write_free
+                write_ops += 1
+                start += write_cycles
+                write_free = start
+            if not kind or code & PLAN_ARRAY_READ:
+                # The read itself, or a write's RMW read phase /
+                # Set-Buffer fill: either way the read port.
+                if read_free > start:
+                    read_conflicts += 1
+                    start = read_free
+                read_ops += 1
+                start += read_cycles
+                read_free = start
+                if not kind:
+                    latency += start - arrival
+                    continue
+            if code & PLAN_ARRAY_WRITE:
+                # RMW write-back phase (grouped writes never get here).
+                if write_free > start:
+                    write_conflicts += 1
+                    start = write_free
+                write_ops += 1
+                write_free = start + write_cycles
+        tracker.free_at[PortKind.READ] = read_free
+        tracker.free_at[PortKind.WRITE] = write_free
+        tracker.busy_cycles[PortKind.READ] += read_ops * read_cycles
+        tracker.busy_cycles[PortKind.WRITE] += write_ops * write_cycles
+        tracker.conflicts[PortKind.READ] += read_conflicts
+        tracker.conflicts[PortKind.WRITE] += write_conflicts
+        self._reads += reads
+        self._writes += len(kinds) - reads
+        self._total_read_latency += latency
+        self._bypassed += bypassed
 
 
 def evaluate_performance(
@@ -202,10 +255,14 @@ def evaluate_performance(
     techniques: Sequence[str] = ("conventional", "rmw", "wg", "wg_rb"),
     timing: Optional[PhaseTiming] = None,
 ) -> dict:
-    """Run the timing model for several techniques on one trace."""
+    """Run the timing model for several techniques on one trace.
+
+    The trace is decoded once; every technique replays the same chunks.
+    """
     if iter(trace) is trace:
         raise TypeContractError("trace must be a reusable sequence")
+    chunks = list(iter_chunks(trace, geometry))
     return {
-        technique: TimingSimulator(technique, geometry, timing).run(trace)
+        technique: TimingSimulator(technique, geometry, timing).run_chunks(chunks)
         for technique in techniques
     }

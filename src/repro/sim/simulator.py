@@ -34,12 +34,7 @@ from repro.core.controller import CacheController
 from repro.core.outcomes import OperationCounts
 from repro.core.registry import make_controller
 from repro.engine.batch import AccessBatch, iter_batches
-from repro.engine.columnar import (
-    ColumnarChunk,
-    iter_chunks,
-    process_chunk,
-    require_numpy,
-)
+from repro.engine.columnar import ColumnarChunk, iter_chunks, process_chunk
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.sram.events import SRAMEventLog
 from repro.trace.record import MemoryAccess
@@ -88,8 +83,6 @@ class Simulator:
             raise ValidationError(
                 f"unknown engine {engine!r}; known: {_ENGINES}"
             )
-        if engine == "columnar":
-            require_numpy()
         self.memory = memory if memory is not None else FunctionalMemory()
         self.cache = SetAssociativeCache(geometry, self.memory)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY

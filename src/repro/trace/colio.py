@@ -34,9 +34,7 @@ shift/mask) instead of failing.
 
 The whole-file CRC means corruption is detected once at ``open`` time
 — a classified :class:`TraceFormatError` — rather than surfacing as
-garbage mid-campaign.  Writing and converting need only the standard
-library; *reading* requires NumPy (a core dependency) because the
-whole point of the format is zero-copy array views.
+garbage mid-campaign.
 """
 
 from __future__ import annotations
@@ -47,15 +45,10 @@ import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, List, Optional, Union
 
-from repro.errors import TraceFormatError, ValidationError
+import numpy as np
+
+from repro.errors import TraceFormatError
 from repro.trace.record import MemoryAccess, accesses_from_columns
-
-try:  # NumPy is a core dependency; the writer alone works without it.
-    import numpy
-except ImportError:  # pragma: no cover - exercised on CI without numpy
-    numpy = None  # type: ignore[assignment]
-
-np: Any = numpy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.config import CacheGeometry
@@ -76,14 +69,6 @@ _CRC = struct.Struct("<I")
 _PACK_CHUNK = 16384
 
 PathLike = Union[str, Path]
-
-
-def _require_numpy() -> None:
-    if np is None:
-        raise ValidationError(
-            "reading RPCOL1 traces requires NumPy, a core dependency "
-            "of repro (pip install numpy)"
-        )
 
 
 def _pad8(size: int) -> int:
@@ -237,7 +222,6 @@ class ColumnarTrace:
     """
 
     def __init__(self, path: PathLike, geometry: Optional["CacheGeometry"] = None):
-        _require_numpy()
         from repro.cache.config import CacheGeometry
 
         self.path = Path(path)
@@ -392,7 +376,6 @@ def open_columnar_trace(
 
     With ``geometry`` omitted, the geometry the file was split with is
     used; passing a different one re-splits the address column in bulk.
-    Raises :class:`TraceFormatError` for truncated/corrupt files and
-    :class:`ValidationError` when NumPy is unavailable.
+    Raises :class:`TraceFormatError` for truncated/corrupt files.
     """
     return ColumnarTrace(path, geometry)

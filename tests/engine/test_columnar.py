@@ -1,14 +1,7 @@
-"""Columnar engine suite: kernels, gating, fallbacks, adversarial fuzz.
+"""Columnar engine suite: kernels, gating, fallbacks, adversarial fuzz."""
 
-Everything here needs NumPy (the ``columnar`` extra); on a bare
-interpreter the whole module skips — the numpy-less contract (engine
-construction raising :class:`ValidationError`) is enforced inside
-:mod:`repro.engine.columnar` and exercised by the CI matrix instead.
-"""
-
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheGeometry

@@ -16,7 +16,6 @@ from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheGeometry
 from repro.core.registry import ALL_CONTROLLER_NAMES, CONTROLLER_NAMES, make_controller
 from repro.engine.batch import iter_batches
-from repro.engine.columnar import HAVE_NUMPY
 from repro.sim.simulator import Simulator
 
 from tests.conftest import make_random_trace
@@ -46,8 +45,7 @@ def assert_identical(trace, technique, geometry, batch_size=None, **kwargs):
     scalar, scalar_memory = run_engine(
         trace, technique, geometry, "scalar", **kwargs
     )
-    engines = ["batched"] + (["columnar"] if HAVE_NUMPY else [])
-    for engine in engines:
+    for engine in ("batched", "columnar"):
         candidate, candidate_memory = run_engine(
             trace, technique, geometry, engine, batch_size=batch_size, **kwargs
         )

@@ -1,10 +1,4 @@
-"""RPCOL1 columnar trace format: round-trips, corruption, shared mmaps.
-
-The writer and converter are pure stdlib and run everywhere; the reader
-needs NumPy (zero-copy views are the format's whole point), so the
-reader tests skip on a bare interpreter while the writer tests still
-run.
-"""
+"""RPCOL1 columnar trace format: round-trips, corruption, shared mmaps."""
 
 import multiprocessing
 import struct
@@ -24,10 +18,6 @@ from repro.trace.colio import (
 
 from tests.conftest import make_random_trace
 
-requires_numpy = pytest.mark.skipif(
-    colio.np is None, reason="reading RPCOL1 requires NumPy"
-)
-
 GEOMETRY = CacheGeometry(size_bytes=512, associativity=2, block_bytes=32)
 
 
@@ -45,18 +35,11 @@ class TestWriter:
         # header + 6 u64 columns + kind column padded to 8 + crc
         assert size == 40 + 6 * 8 * 11 + 16 + 4
 
-    def test_writer_needs_no_numpy(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(colio, "np", None)
-        path, _ = write_sample(tmp_path, n=5)
-        with pytest.raises(ValidationError, match="requires NumPy"):
-            open_columnar_trace(path)
-
     def test_empty_trace(self, tmp_path):
         path = tmp_path / "empty.rpcol"
         assert write_columnar_trace(path, [], GEOMETRY) == 0
 
 
-@requires_numpy
 class TestRoundTrip:
     def test_columns_match_binary_batches(self, tmp_path):
         """RPCOL1 columns are bit-identical to the RPTRACE2 decode."""
@@ -133,7 +116,6 @@ class TestRoundTrip:
                 next(columnar.chunks(0))
 
 
-@requires_numpy
 class TestCorruption:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.rpcol"
@@ -198,7 +180,6 @@ def _replay_from_mapping(path_str):
     }
 
 
-@requires_numpy
 class TestSharedMapping:
     def test_two_processes_share_one_mapping(self, tmp_path):
         """Two workers mapping the same file produce identical rows.
