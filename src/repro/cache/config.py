@@ -22,9 +22,10 @@ __all__ = ["AddressCodec", "CacheGeometry", "BASELINE_GEOMETRY"]
 class AddressCodec(NamedTuple):
     """Shift/mask constants for splitting a byte address in one pass.
 
-    The batched execution engine decodes whole trace chunks with these
-    (``repro.engine.batch``), so they are computed once per geometry and
-    cached on the :class:`CacheGeometry` instance.  The decomposition is
+    The chunk decoders split whole trace chunks with these
+    (``repro.engine.batch`` per record, ``repro.engine.columnar`` per
+    column), so they are computed once per geometry and cached on the
+    :class:`CacheGeometry` instance.  The decomposition is
     exactly :class:`repro.cache.address.AddressMapper`'s::
 
         set_index   = (address >> index_shift) & index_mask
@@ -121,7 +122,7 @@ class CacheGeometry:
 
     @cached_property
     def codec(self) -> AddressCodec:
-        """Shift/mask constants for batched address decoding.
+        """Shift/mask constants for chunked address decoding.
 
         Cached per geometry (the dataclass is frozen, so the derived
         bit layout never changes after construction); the batch decoder

@@ -3,7 +3,7 @@
 :func:`run_check_campaign` is the engine behind ``repro-8t check``:
 for each iteration it asks the :class:`repro.check.fuzz.TraceFuzzer`
 for a deterministic case (scenario, geometry, trace, batch size,
-knobs), replays it through oracle / scalar / batched for every
+knobs), replays it through oracle / scalar / columnar for every
 requested technique, shrinks any failing trace to a 1-minimal repro,
 and optionally saves the repro to a corpus directory.
 :func:`replay_corpus` re-runs saved repros as a regression gate.

@@ -1,13 +1,12 @@
-"""Four-way differential check: oracle vs scalar vs batched vs columnar.
+"""Three-way differential check: oracle vs scalar vs columnar.
 
 One :func:`run_differential` call replays a single trace through
 
 * the :class:`repro.check.oracle.ReferenceOracle` (independent model),
-* the scalar engine (``CacheController.process`` per record),
-* the batched engine (``Simulator(engine="batched")``), and
+* the scalar engine (``CacheController.process`` per record), and
 * the columnar engine (:func:`repro.engine.columnar.process_chunk` on
-  a ``Simulator(engine="columnar")`` controller), collecting the
-  per-record port-plan column the timing model schedules from,
+  a :class:`repro.sim.simulator.Simulator`'s controller), collecting
+  the per-record port-plan column the timing model schedules from,
 
 then compares every observable the models share: per-read values
 (oracle vs scalar, access by access), circuit events, operation counts,
@@ -71,28 +70,18 @@ def _run_scalar(
     return controller, cache, outcomes, memory.snapshot()
 
 
-def _run_engine(
+def _run_columnar(
     trace: Sequence[MemoryAccess],
     technique: str,
     geometry: CacheGeometry,
     kwargs: Dict[str, object],
     batch_size: Optional[int],
-    engine: str,
 ):
-    """Engine run; returns (result, memory, plan).
-
-    ``plan`` is the columnar leg's port-plan column, None for batched.
-    """
-    simulator = Simulator(
-        technique, geometry, engine=engine, batch_size=batch_size, **kwargs
-    )
-    plan = None
-    if engine == "columnar":
-        plan = bytearray()
-        for chunk in iter_chunks(trace, geometry, batch_size):
-            process_chunk(simulator.controller, chunk, plan)
-    else:
-        simulator.feed(list(trace))
+    """Columnar run; returns (result, memory, port-plan column)."""
+    simulator = Simulator(technique, geometry, batch_size=batch_size, **kwargs)
+    plan = bytearray()
+    for chunk in iter_chunks(trace, geometry, batch_size):
+        process_chunk(simulator.controller, chunk, plan)
     result = simulator.finish()
     simulator.cache.flush_all_dirty()
     return result, simulator.memory.snapshot(), plan
@@ -165,40 +154,38 @@ def run_differential(
 
     divergences: List[str] = []
 
-    # -- scalar vs batched / columnar: must be bit-identical ----------------
-    for engine in ("batched", "columnar"):
-        candidate, candidate_memory, plan = _run_engine(
-            trace, technique, geometry, kwargs, batch_size, engine
+    # -- scalar vs columnar: must be bit-identical ---------------------------
+    candidate, candidate_memory, plan = _run_columnar(
+        trace, technique, geometry, kwargs, batch_size
+    )
+    label = "scalar-vs-columnar"
+    divergences += _diff_plan(label, trace, outcomes, plan)
+    divergences += _diff_mapping(
+        f"{label} events",
+        controller.events.to_dict(),
+        candidate.events.to_dict(),
+    )
+    divergences += _diff_mapping(
+        f"{label} counts",
+        _as_dict(controller.counts),
+        _as_dict(candidate.counts),
+    )
+    divergences += _diff_mapping(
+        f"{label} stats",
+        _as_dict(cache.stats),
+        _as_dict(candidate.cache_stats),
+    )
+    if scalar_memory != candidate_memory:
+        delta = {
+            word
+            for word in set(scalar_memory) | set(candidate_memory)
+            if scalar_memory.get(word, 0) != candidate_memory.get(word, 0)
+        }
+        divergences.append(
+            f"{label} memory: "
+            f"{len(delta)} word(s) differ, first at word "
+            f"{min(delta)}"
         )
-        label = f"scalar-vs-{engine}"
-        if plan is not None:
-            divergences += _diff_plan(label, trace, outcomes, plan)
-        divergences += _diff_mapping(
-            f"{label} events",
-            controller.events.to_dict(),
-            candidate.events.to_dict(),
-        )
-        divergences += _diff_mapping(
-            f"{label} counts",
-            _as_dict(controller.counts),
-            _as_dict(candidate.counts),
-        )
-        divergences += _diff_mapping(
-            f"{label} stats",
-            _as_dict(cache.stats),
-            _as_dict(candidate.cache_stats),
-        )
-        if scalar_memory != candidate_memory:
-            delta = {
-                word
-                for word in set(scalar_memory) | set(candidate_memory)
-                if scalar_memory.get(word, 0) != candidate_memory.get(word, 0)
-            }
-            divergences.append(
-                f"{label} memory: "
-                f"{len(delta)} word(s) differ, first at word "
-                f"{min(delta)}"
-            )
 
     # -- oracle vs scalar ---------------------------------------------------
     if technique in ORACLE_TECHNIQUES:

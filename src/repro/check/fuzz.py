@@ -5,7 +5,7 @@ Every generator draws from a :class:`random.Random` seeded through
 from ``(seed, iteration)`` — rerunning ``repro-8t check --seed 0``
 regenerates the exact traces, geometries, batch sizes and knobs.
 
-The scenarios target the places where the batched fast paths diverge
+The scenarios target the places where the columnar kernels diverge
 from a naive per-request loop:
 
 * ``write_runs`` — long same-set write runs with lengths chosen to

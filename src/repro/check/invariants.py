@@ -25,7 +25,7 @@ Checked invariants:
   stays the sum of its parts.
 
 Checks are read-only: enabling them never changes simulation results,
-only speed (the batched fast paths disengage so every access is
+only speed (the columnar kernels disengage so every access is
 audited individually).
 """
 

@@ -9,7 +9,7 @@ Installed as the ``repro-8t`` console script::
     repro-8t profile bwaves               # phase timings + hot counters
     repro-8t trace bwaves out.trc --accesses 50000 --format binary
     repro-8t stats out.trc --geometry 64K:4:32
-    repro-8t bench --json BENCH_hotpath.json   # scalar vs batched engine
+    repro-8t bench --json BENCH_hotpath.json   # scalar vs columnar engine
     repro-8t bench --history              # append run to the bench ledger
     repro-8t perf compare                 # gate against the rolling baseline
     repro-8t perf report                  # render docs/perf-trend.md
@@ -599,33 +599,18 @@ def _cmd_profile(args) -> int:
 
 
 def _print_bench_table(args, results) -> None:
-    with_columnar = any(
-        result.columnar_seconds is not None for result in results
-    )
-    headers = ["technique", "scalar acc/s", "batched acc/s", "speedup"]
-    if with_columnar:
-        headers += ["columnar acc/s", "col/batched"]
-    rows = []
-    for result in results:
-        row = [
-            result.technique,
-            f"{result.scalar_aps:,.0f}",
-            f"{result.batched_aps:,.0f}",
-            f"{result.speedup:.2f}x",
-        ]
-        if with_columnar:
-            if result.columnar_seconds is not None:
-                row += [
-                    f"{result.columnar_aps:,.0f}",
-                    f"{result.columnar_speedup:.2f}x",
-                ]
-            else:
-                row += ["-", "-"]
-        rows.append(tuple(row))
     print(
         format_table(
-            tuple(headers),
-            rows,
+            ("technique", "scalar acc/s", "columnar acc/s", "speedup"),
+            [
+                (
+                    result.technique,
+                    f"{result.scalar_aps:,.0f}",
+                    f"{result.columnar_aps:,.0f}",
+                    f"{result.speedup:.2f}x",
+                )
+                for result in results
+            ],
             title=(
                 f"hot-path throughput: {args.benchmark}, "
                 f"{args.accesses} accesses on {args.geometry.describe()}"
@@ -674,8 +659,6 @@ def _append_bench_history(args, results, env, timestamp) -> None:
 def _cmd_bench(args) -> int:
     from repro.engine.bench import run_hotpath_bench
 
-    engines = {"scalar", "batched"}
-    engines.update(getattr(args, "engines", None) or ())
     results = run_hotpath_bench(
         techniques=tuple(args.techniques),
         accesses=args.accesses,
@@ -684,7 +667,6 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
         batch_size=args.batch_size,
         repeats=args.repeats,
-        engines=sorted(engines),
     )
     _print_bench_table(args, results)
     env = timestamp = None
@@ -1143,7 +1125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser(
         "bench",
-        help="hot-path throughput: scalar vs batched vs columnar engine",
+        help="hot-path throughput: scalar vs columnar engine",
     )
     sub.add_argument(
         "benchmark", nargs="?", default="bwaves", choices=benchmark_names()
@@ -1158,17 +1140,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=["conventional", "rmw", "wg", "wg_rb"],
         choices=ALL_CONTROLLER_NAMES,
-    )
-    sub.add_argument(
-        "--engine",
-        action="append",
-        dest="engines",
-        choices=["scalar", "batched", "columnar"],
-        metavar="ENGINE",
-        help=(
-            "engine tier to measure (repeatable); scalar and batched are "
-            "always timed, '--engine columnar' adds the columnar tier"
-        ),
     )
     sub.add_argument(
         "--batch-size", type=int, help="records per batch (default 4096)"
@@ -1306,7 +1277,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="oracle-differential fuzz campaign (correctness tooling)",
         description=(
             "Fuzz deterministic adversarial traces through the reference "
-            "oracle, the scalar engine, and the batched engine, diffing "
+            "oracle, the scalar engine, and the columnar engine, diffing "
             "every observable.  Failures are shrunk to minimal repro "
             "traces; --corpus saves them and --replay re-runs saved "
             "repros as a regression gate.  Exit code 3 on divergence."

@@ -42,12 +42,13 @@ class CacheController(abc.ABC):
     #: Short registry name, set by subclasses.
     name: str = "abstract"
 
-    #: Registry name whose semantics the class's ``_process_batch_fast``
-    #: implements, or None when there is no batched fast path.  The gate
-    #: in :meth:`process_batch` requires ``self.name`` to match, so a
+    #: Registry name whose semantics the columnar kernels in
+    #: :mod:`repro.engine.columnar` implement for this class, or None
+    #: when there is no kernel.  The gate in :func:`repro.engine.
+    #: columnar.process_chunk` requires ``self.name`` to match, so a
     #: subclass that changes behaviour (and therefore ``name``) falls
-    #: back to the scalar loop instead of inheriting a fast path that no
-    #: longer matches its ``process()``.
+    #: back to :meth:`process` instead of inheriting a kernel that no
+    #: longer matches it.
     _fast_path_name: Optional[str] = None
 
     def __init__(
@@ -149,9 +150,10 @@ class CacheController(abc.ABC):
         of the cache slot arrays and any WG-family buffers, raising
         :class:`repro.errors.InvariantViolation` at the first access
         that breaks one.  Checks are read-only — results are unchanged,
-        only slower: :meth:`process_batch` falls back to the scalar
-        loop so every access is audited individually.  Returns the
-        installed :class:`repro.check.invariants.InvariantChecker`.
+        only slower: :func:`repro.engine.columnar.process_chunk` falls
+        back to :meth:`process` so every access is audited individually.
+        Returns the installed :class:`repro.check.invariants.
+        InvariantChecker`.
         """
         from repro.check.invariants import InvariantChecker
 
@@ -190,27 +192,12 @@ class CacheController(abc.ABC):
         return outcome
 
     def process_batch(self, batch: "AccessBatch") -> int:
-        """Handle one :class:`AccessBatch`; returns records consumed.
+        """Replay one :class:`AccessBatch` through :meth:`process`,
+        record by record; returns records consumed.
 
-        Bit-identical to replaying the batch through :meth:`process`
-        one record at a time — the differential suite in
-        ``tests/engine/`` enforces this.  Outcome objects are not
-        built, which is most of the speedup.
-
-        The specialised fast path engages only when *all* of these
-        hold; otherwise every record replays through the scalar path:
-
-        * the concrete class implements the semantics it advertises
-          (``name == _fast_path_name`` — subclasses that change
-          behaviour fall back automatically);
-        * the cache uses stamp-LRU (:attr:`SetAssociativeCache.
-          engine_fast_ok`);
-        * telemetry is off (``_obs``): per-request sampler ticks and
-          trace instants cannot be aggregated per batch without
-          changing observable output;
-        * debug-mode invariant checks are off (:meth:`enable_invariant_
-          checks`): the checker audits state after *every* access, so
-          each record must replay through :meth:`process`.
+        The fast tier is :func:`repro.engine.columnar.process_chunk`;
+        this is the plain list-based entry point for callers that hold
+        a decoded batch and want the scalar semantics of record.
         """
         if self._finalized:
             raise StateError("controller already finalized")
@@ -219,29 +206,10 @@ class CacheController(abc.ABC):
                 f"batch decoded for {batch.geometry.describe()} fed to a "
                 f"{self.cache.geometry.describe()} cache"
             )
-        n = len(batch)
-        if n == 0:
-            return 0
-        if (
-            self.name == self._fast_path_name
-            and not self._obs
-            and self._invariant_checker is None
-            and self.cache.engine_fast_ok
-        ):
-            self._process_batch_fast(batch)
-        else:
-            process = self.process
-            for access in batch.accesses():
-                process(access)
-        return n
-
-    def _process_batch_fast(self, batch: "AccessBatch") -> None:
-        """Batched fast path; only reached when the gate in
-        :meth:`process_batch` passed.  Base implementation replays the
-        scalar path (concrete techniques override)."""
         process = self.process
         for access in batch.accesses():
             process(access)
+        return len(batch)
 
     def run(
         self,

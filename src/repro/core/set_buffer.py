@@ -70,13 +70,13 @@ class SetBuffer:
         return False
 
     def engine_views(self) -> Tuple[List[List[int]], Set[Tuple[int, int]]]:
-        """``(data, modified)`` internals for the batched engine.
+        """``(data, modified)`` internals for the columnar engine.
 
-        The fast paths in :mod:`repro.core.write_grouping` mutate these
-        in place, replicating :meth:`write` without the per-word method
+        The WG kernel in :mod:`repro.engine.columnar` mutates these in
+        place, replicating :meth:`write` without the per-word method
         call.  The views go stale when the buffer is refilled or
         drained (:meth:`fill`/:meth:`take_modified` rebind the set), so
-        callers must re-fetch them after any scalar fallback.
+        callers must re-fetch them after either.
         """
         self._check_valid()
         return self._data, self._modified

@@ -30,7 +30,7 @@ is the paper's design.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 from repro.cache.cache import AccessResult, SetAssociativeCache
 from repro.core.controller import CacheController
@@ -40,9 +40,6 @@ from repro.core.tag_buffer import TagBuffer
 from repro.trace.record import MemoryAccess
 from repro.utils.validation import check_positive
 from repro.errors import ValidationError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.batch import AccessBatch
 
 __all__ = ["WriteGroupingController", "BufferEntry"]
 
@@ -185,222 +182,6 @@ class WriteGroupingController(CacheController):
         if entry is not None:
             self._write_back(entry, "fill_flush")
             entry.invalidate()
-
-    # -- batched fast path -------------------------------------------------------
-
-    def _process_batch_fast(self, batch: "AccessBatch") -> None:
-        """Batched WG hot loop with same-set write-run pre-grouping.
-
-        A maximal run of consecutive same-set writes resolves its
-        buffer entry, pool-LRU position and Set-Buffer views *once*;
-        each write in the run then costs a tag probe, a stamp, and an
-        in-place word merge with inline silent detection — the software
-        mirror of the single Set-Buffer transaction the paper's
-        hardware performs.  Everything slow (cache misses, Tag-Buffer
-        misses, premature write-backs) replays through the scalar
-        ``process()`` at its exact trace position, so write-back and
-        fill ordering — and therefore memory contents — stay
-        bit-identical.
-        """
-        cache = self.cache
-        tags_by_set = cache._tags  # noqa: SLF001 - engine contract
-        stamps_by_set = cache._stamps  # noqa: SLF001
-        tick = cache._tick  # noqa: SLF001
-        fill = cache._fill  # noqa: SLF001
-        wpb = cache.geometry.words_per_block
-        row_words = self._row_words
-        count_mt = self.count_miss_traffic
-        detect = self.detect_silent_writes
-        bypass_reads = self._rb_bypass
-        kinds = batch.kinds
-        icounts = batch.icounts
-        addresses = batch.addresses
-        values = batch.values
-        set_indices = batch.set_indices
-        req_tags = batch.tags
-        word_offsets = batch.word_offsets
-        entries = self._entries
-
-        n = len(kinds)
-        reads = 0  # read requests
-        read_hits = 0  # of which cache hits
-        row_reads = 0  # reads served by an array row read (1 word routed)
-        bypassed = 0  # reads served from the Set-Buffer (WG+RB only)
-        writes = 0  # write requests
-        write_hits = 0  # of which cache hits
-        grouped = 0  # writes merged on a Tag-Buffer hit
-        silent = 0  # of which silent (when detection is on)
-        mt_fills = mt_dirty = 0  # count_miss_traffic charges
-
-        i = 0
-        while i < n:
-            s = set_indices[i]
-            t = req_tags[i]
-            if not kinds[i]:
-                # Read request.
-                reads += 1
-                row_reads += 1
-                tags = tags_by_set[s]
-                if t in tags:
-                    read_hits += 1
-                    way = tags.index(t)
-                    stamps_by_set[s][way] = tick
-                    tick += 1
-                    entry = None
-                    for candidate in entries:
-                        tb = candidate.tag_buffer
-                        if tb.valid and tb.set_index == s:
-                            entry = candidate
-                            break
-                    if entry is not None and t in entry.tag_buffer.tags:
-                        # Tag-Buffer hit on a read.
-                        if bypass_reads:
-                            # WG+RB: serve from the Set-Buffer — no
-                            # array access, no write-back.
-                            row_reads -= 1
-                            bypassed += 1
-                        else:
-                            # WG: premature write-back so the array
-                            # holds the newest data.
-                            self._current_icount = icounts[i]
-                            self._write_back(entry, "premature")
-                        if entries[-1] is not entry:
-                            entries.remove(entry)
-                            entries.append(entry)
-                else:
-                    # Cache miss: flush-and-drop the buffer if the fill
-                    # is about to mutate the buffered set, then fill.
-                    # The probe afterwards always misses (the flush
-                    # invalidated any entry for this set), so the read
-                    # is a plain row read.
-                    self._current_icount = icounts[i]
-                    entry = None
-                    for candidate in entries:
-                        tb = candidate.tag_buffer
-                        if tb.valid and tb.set_index == s:
-                            entry = candidate
-                            break
-                    if entry is not None:
-                        self._write_back(entry, "fill_flush")
-                        entry.invalidate()
-                    cache._tick = tick  # noqa: SLF001
-                    _, _, evicted_dirty = fill(s, t, addresses[i], True)
-                    tick = cache._tick  # noqa: SLF001
-                    if count_mt:
-                        mt_fills += 1
-                        if evicted_dirty:
-                            mt_dirty += 1
-                i += 1
-                continue
-
-            # Write request: pre-group the maximal run of consecutive
-            # writes to the same set, resolving the buffer entry, pool
-            # position and Set-Buffer views once per run.
-            j = i + 1
-            while j < n and kinds[j] and set_indices[j] == s:
-                j += 1
-            entry = None
-            for candidate in entries:
-                tb = candidate.tag_buffer
-                if tb.valid and tb.set_index == s:
-                    entry = candidate
-                    break
-            tb = sb_data = sb_modified = None
-            k = i
-            while k < j:
-                t = req_tags[k]
-                tags = tags_by_set[s]
-                writes += 1
-                if t in tags:
-                    write_hits += 1
-                    way = tags.index(t)
-                    stamps_by_set[s][way] = tick
-                    tick += 1
-                else:
-                    # Cache miss mid-run: fill (flushing the buffer
-                    # first when it holds this set), then re-resolve
-                    # the entry — the flush invalidated it.
-                    self._current_icount = icounts[k]
-                    if entry is not None:
-                        self._write_back(entry, "fill_flush")
-                        entry.invalidate()
-                        entry = tb = None
-                    cache._tick = tick  # noqa: SLF001
-                    way, _, evicted_dirty = fill(s, t, addresses[k], False)
-                    tick = cache._tick  # noqa: SLF001
-                    if count_mt:
-                        mt_fills += 1
-                        if evicted_dirty:
-                            mt_dirty += 1
-                if entry is None:
-                    # Tag-Buffer miss: drain the victim entry, refill
-                    # with this set (Algorithm 1's write path).
-                    self._current_icount = icounts[k]
-                    entry = self._victim_entry()
-                    self._write_back(entry, "eviction")
-                    self._fill_entry(entry, s)
-                    tb = None
-                else:
-                    grouped += 1
-                if tb is None:
-                    tb = entry.tag_buffer
-                    sb_data, sb_modified = entry.set_buffer.engine_views()
-                    # One pool-LRU touch covers the rest of the run
-                    # (touching the same entry again is idempotent on
-                    # pool order).
-                    if entries[-1] is not entry:
-                        entries.remove(entry)
-                        entries.append(entry)
-                row = sb_data[way]
-                w = word_offsets[k]
-                v = values[k]
-                if row[w] == v:
-                    # Silent write: the buffer is left untouched when
-                    # detection is on; dirties it like any other write
-                    # otherwise.
-                    if detect:
-                        silent += 1
-                        k += 1
-                        continue
-                else:
-                    row[w] = v
-                    sb_modified.add((way, w))
-                if not tb.dirty:
-                    entry.dirty_since = icounts[k]
-                    tb.dirty = True
-                k += 1
-            i = j
-
-        cache._tick = tick  # noqa: SLF001
-        self._current_icount = icounts[-1]
-        counts = self.counts
-        counts.read_requests += reads
-        counts.write_requests += writes
-        counts.grouped_writes += grouped
-        counts.silent_writes_detected += silent
-        counts.bypassed_reads += bypassed
-        stats = cache.stats
-        stats.read_hits += read_hits
-        stats.write_hits += write_hits
-        events = self.events
-        events.precharges += row_reads
-        events.rwl_pulses += row_reads
-        events.row_reads += row_reads
-        events.words_routed += row_reads
-        events.set_buffer_reads += bypassed
-        events.set_buffer_writes += writes
-        if count_mt and mt_fills:
-            # Per dirty eviction: a row read of the victim block; per
-            # fill: an RMW over the full row (see _account_miss_traffic).
-            events.rmw_operations += mt_fills
-            events.precharges += mt_dirty + mt_fills
-            events.rwl_pulses += mt_dirty + mt_fills
-            events.row_reads += mt_dirty + mt_fills
-            events.words_routed += mt_dirty * wpb + mt_fills * row_words
-            events.wwl_pulses += mt_fills
-            events.row_writes += mt_fills
-            events.words_driven += mt_fills * row_words
-            counts.rmw_operations += mt_fills
 
     # -- Algorithm 1 ----------------------------------------------------------------
 

@@ -1,15 +1,14 @@
 """Execution engines.
 
-The throughput layers of the simulator.  Tier one is the batched
-engine: struct-of-arrays trace batches (:mod:`repro.engine.batch`)
-feed the controllers' ``process_batch()`` fast paths, several times
-faster than the scalar ``process()`` loop and bit-identical to it (see
-``docs/performance.md`` and the differential suite in
-``tests/engine/``).  Tier two is the columnar engine
-(:mod:`repro.engine.columnar`): chunks become NumPy arrays — zero-copy
-views when read from ``RPCOL1`` mmap traces (:mod:`repro.trace.colio`)
-— and vectorized kernels replace the per-record Python loop for the
-common case.  :mod:`repro.engine.bench` measures all tiers.
+The throughput layer of the simulator.  :mod:`repro.engine.batch`
+decodes trace chunks into struct-of-arrays :class:`AccessBatch` lists;
+the columnar engine (:mod:`repro.engine.columnar`) lifts them — or
+zero-copy views of ``RPCOL1`` mmap traces (:mod:`repro.trace.colio`)
+and of the generator's columns — into NumPy chunks and runs them
+through vectorized kernels, bit-identical to the scalar ``process()``
+loop it falls back to (see ``docs/performance.md`` and the
+differential suite in ``tests/engine/``).  :mod:`repro.engine.bench`
+times the columnar engine against scalar.
 """
 
 from repro.engine.batch import AccessBatch, DEFAULT_BATCH_SIZE, iter_batches

@@ -6,20 +6,20 @@ decode → address split → residency → controller template methods).  An
 decoded once into parallel lists, with the set/tag/word address fields
 pre-split using the shift/mask constants cached on
 :class:`repro.cache.config.CacheGeometry` (``geometry.codec``).  The
-batched controller fast paths (:meth:`CacheController.process_batch`)
-then iterate plain ints instead of constructing a :class:`MemoryAccess`
-object per record.
+columnar engine lifts each batch into NumPy arrays
+(:meth:`repro.engine.columnar.ColumnarChunk.from_access_batch`);
+:meth:`CacheController.process_batch` replays one record by record.
 
 Invariants
 ----------
-* Batching never changes results: every batched path is bit-identical
-  to replaying the same records through ``process()`` one at a time
-  (enforced by ``tests/engine/test_differential.py``).
+* Batching never changes results: every engine that consumes a batch
+  is bit-identical to replaying the same records through ``process()``
+  one at a time (enforced by ``tests/engine/test_differential.py``).
 * ``kinds`` uses ``0`` for reads and ``1`` for writes — the same
   encoding as the binary trace format.
 * A batch is tied to the geometry whose codec decoded it; feeding it to
   a controller with a different geometry is a usage error (checked by
-  ``process_batch``).
+  ``process_batch`` and ``process_chunk``).
 """
 
 from __future__ import annotations

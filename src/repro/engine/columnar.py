@@ -1,16 +1,16 @@
-"""Columnar (second-generation) execution engine.
+"""Columnar execution engine — the simulator's one fast tier.
 
-The batched engine removed per-record object construction but still
-pays Python's per-record indirection tax on every access: container
-lookups for the set's slot arrays, method calls into ``cache._fill``,
-``memory.read_block`` and the Set-Buffer, attribute traffic on shared
-counters.  This tier removes that tax.  A :class:`ColumnarChunk` holds
-a trace chunk as NumPy arrays (zero-copy views when it comes from an
-``RPCOL1`` mmap, see :mod:`repro.trace.colio`); the kernels below use
-vectorized decode/regrouping to set the loops up, then replay records
-through loops whose *entire* working state lives in local variables —
-the fill path, next-level memory transfers, buffer write-backs and all
-statistics inlined, flushed once per chunk.
+The scalar ``process()`` path pays Python's per-record tax several
+times over: a :class:`MemoryAccess` object per record, container
+lookups for the set's slot arrays, method calls into the cache's fill
+path, ``memory.read_block`` and the Set-Buffer, attribute traffic on
+shared counters.  This tier removes that tax.  A :class:`ColumnarChunk`
+holds a trace chunk as NumPy arrays (zero-copy views when it comes from
+an ``RPCOL1`` mmap, see :mod:`repro.trace.colio`); the kernels below
+use vectorized decode/regrouping to set the loops up, then replay
+records through loops whose *entire* working state lives in local
+variables — the fill path, next-level memory transfers, buffer
+write-backs and all statistics inlined, flushed once per chunk.
 
 Why this is bit-identical
 -------------------------
@@ -37,12 +37,13 @@ Why this is bit-identical
   the cache probe.  Consecutive same-set write runs are pre-grouped
   vectorized (``np.flatnonzero(np.diff(...))``).
 
-Gating matches :meth:`CacheController.process_batch` exactly (fast-path
-name, telemetry, invariant checker, ``engine_fast_ok``); anything the
-kernels cannot reproduce bit-identically — WG buffer pools with more
-than one entry, non-LRU replacement, telemetry, invariant checks —
-falls back to the batched engine for the whole chunk.  The four-way
-scalar↔batched↔columnar↔oracle differential in ``tests/engine/`` and
+:func:`process_chunk` holds the only fast-path gate (fast-path name,
+telemetry, invariant checker, ``engine_fast_ok``); anything the kernels
+cannot reproduce bit-identically — WG buffer pools with more than one
+entry, non-LRU replacement, telemetry, invariant checks, the
+related-work subclasses — replays the whole chunk record by record
+through the scalar ``process()``.  The three-way
+scalar↔columnar↔oracle differential in ``tests/engine/`` and
 ``repro/check/`` enforces bit-identity across all of it.
 
 Port plans
@@ -206,7 +207,8 @@ class ColumnarChunk:
         )
 
     def to_access_batch(self) -> AccessBatch:
-        """Decode back to plain-int lists (the batched-engine fallback)."""
+        """Decode back to plain-int lists (the scalar fallback replays
+        its records)."""
         return AccessBatch(
             geometry=self.geometry,
             icounts=self.icounts.tolist(),
@@ -319,13 +321,14 @@ def process_chunk(
 ) -> int:
     """Run one chunk through the columnar kernels; returns records consumed.
 
-    Mirrors :meth:`CacheController.process_batch`'s contract (finalized
-    check, geometry check, gating) and falls back to the batched engine
-    — itself gated down to scalar when needed — whenever the columnar
-    kernels cannot reproduce the exact semantics.  With ``plan`` given,
-    one port-plan code per record is appended to it (see the module
-    docstring); the fallback then replays the chunk through
-    ``process()`` so every record yields its outcome.
+    The engine's one gate: a chunk runs on a kernel only when the
+    controller's class implements the semantics it advertises (``name
+    == _fast_path_name``), telemetry and debug-mode invariant checks are
+    off, the cache uses stamp-LRU (``engine_fast_ok``) and, for the WG
+    family, the buffer pool has one entry.  Any other chunk replays
+    record by record through the scalar ``process()`` — bit-identical
+    by definition.  With ``plan`` given, one port-plan code per record
+    is appended to it (see the module docstring).
     """
     if controller._finalized:  # noqa: SLF001 - engine contract
         raise StateError("controller already finalized")
@@ -367,7 +370,9 @@ def process_chunk(
             for access in chunk.to_access_batch().accesses()
         )
     else:
-        return controller.process_batch(chunk.to_access_batch())
+        process = controller.process
+        for access in chunk.to_access_batch().accesses():
+            process(access)
     return n
 
 

@@ -1,11 +1,10 @@
 """Controller-contract rules (RPR121, RPR122).
 
-The batched engine (PR 3) made every controller a two-implementation
-class: the scalar ``process()`` path is the semantics of record, and
-``process_batch``/``_process_batch_fast`` is an optimisation that must
-be *observably identical*.  Two structural properties keep that true,
-and both are properties of the class text — exactly what a static pass
-can hold forever:
+Every controller's scalar ``process()`` path is the semantics of
+record; the columnar engine's kernels and any ``process_batch``
+shortcut are optimisations that must be *observably identical*.  Two
+structural properties keep that true, and both are properties of the
+class text — exactly what a static pass can hold forever:
 
 * every concrete controller implements the scalar API
   (``_handle_read``/``_handle_write``) — the oracle, the invariant
@@ -107,6 +106,10 @@ class FastPathGateRule(Rule):
     )
 
     def visit_ClassDef(self, node: ast.ClassDef, ctx: FileContext) -> None:
+        if node.name == _BASE_CLASS:
+            # The base definition is the record-by-record replay through
+            # process() that overrides must fall back to.
+            return
         for stmt in node.body:
             if (
                 isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))

@@ -2,7 +2,7 @@
 
 ``repro-8t perf compare`` replaces the hand-pinned speedup floors that
 used to live in ``benchmarks/bench_hotpath.py``: instead of a constant
-chosen once ("the batched engine must stay above 2.0x"), the gate
+chosen once ("the fast engine must stay above 2.0x"), the gate
 derives a **rolling baseline** from the last K comparable ledger
 entries and fails only on a drop beyond the measured noise.
 

@@ -42,20 +42,20 @@ LEDGER_SCHEMA_VERSION = 1
 #: Where ``repro-8t bench --history`` appends by default (repo-relative).
 DEFAULT_LEDGER_PATH = Path("benchmarks") / "results" / "bench_history.jsonl"
 
-#: Per-technique result fields copied into each ledger record.  The
-#: columnar tier's fields are additive — absent when a run did not
-#: measure the columnar engine — so the schema version is unchanged.
+#: Per-technique result fields copied into each ledger record.
+#: Records written before the batched tier was retired also carry
+#: ``batched_seconds``/``batched_accesses_per_second``/
+#: ``columnar_speedup``, and their ``speedup`` is batched over scalar;
+#: readers keep every stored key, and :meth:`LedgerEntry.speedup` maps
+#: those records onto today's columnar-over-scalar ratio.
 _RESULT_FIELDS = (
     "technique",
     "accesses",
     "scalar_seconds",
-    "batched_seconds",
     "columnar_seconds",
     "scalar_accesses_per_second",
-    "batched_accesses_per_second",
     "columnar_accesses_per_second",
     "speedup",
-    "columnar_speedup",
 )
 
 #: ``on_skip(line_number, reason)`` callback for unreadable records.
@@ -83,21 +83,30 @@ class LedgerEntry:
         return list(self.results)
 
     def speedup(self, technique: str) -> Optional[float]:
-        result = self.results.get(technique)
-        return None if result is None else float(result.get("speedup", 0.0))
+        """Columnar-over-scalar speedup; ``None`` when not measured.
 
-    def batched_aps(self, technique: str) -> Optional[float]:
+        A record from the batched era (it carries ``batched_seconds``)
+        stored batched over scalar as ``speedup``; its columnar ratio
+        comes from the raw seconds when that run timed the columnar
+        tier, and is ``None`` otherwise, so the gates never baseline
+        one ratio against the other.
+        """
         result = self.results.get(technique)
         if result is None:
             return None
-        return float(result.get("batched_accesses_per_second", 0.0))
-
-    def columnar_speedup(self, technique: str) -> Optional[float]:
-        """Columnar-over-batched speedup; ``None`` when not measured."""
-        result = self.results.get(technique)
-        if result is None or "columnar_speedup" not in result:
+        if "batched_seconds" not in result:
+            return float(result.get("speedup", 0.0))
+        columnar = result.get("columnar_seconds")
+        if not columnar:
             return None
-        return float(result["columnar_speedup"])
+        return float(result["scalar_seconds"]) / float(columnar)
+
+    def columnar_aps(self, technique: str) -> Optional[float]:
+        """Columnar accesses/sec; ``None`` when not measured."""
+        result = self.results.get(technique)
+        if result is None or "columnar_accesses_per_second" not in result:
+            return None
+        return float(result["columnar_accesses_per_second"])
 
     # -- provenance shorthands ----------------------------------------------
 

@@ -273,9 +273,7 @@ def execute_row(
     measure_chunks = list(trace.slices(warmup))
     results: Dict[str, SimulationResult] = {}
     for technique in config.techniques:
-        simulator = Simulator(
-            technique, config.geometry, telemetry=telemetry, engine="columnar"
-        )
+        simulator = Simulator(technique, config.geometry, telemetry=telemetry)
         if warmup:
             with span(telem, "warmup", technique=technique):
                 simulator.feed_chunks(warmup_chunks)

@@ -49,7 +49,7 @@ transform, so each row computes it once, not once per technique.
 For trace-file campaigns the ``RPCOL1`` columnar format
 (:mod:`repro.trace.colio`) composes with this fan-out: every worker
 memory-maps the same file read-only and feeds zero-copy chunks to the
-columnar engine (``Simulator(engine="columnar").feed_chunks(...)``),
+columnar engine (``Simulator(...).feed_chunks(...)``),
 so the OS page cache backs all workers with one physical copy of the
 trace and no per-worker deserialization.
 

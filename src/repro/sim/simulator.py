@@ -1,24 +1,19 @@
 """Single-technique simulation runner.
 
-Execution engines
------------------
-``Simulator`` feeds its controller through one of three engines:
-
-* ``"batched"`` (the constructor default) — the trace is chunked into
-  struct-of-arrays :class:`repro.engine.batch.AccessBatch` objects and
-  handed to :meth:`CacheController.process_batch`, which runs the
-  technique's specialised batched fast path when available.  Results
-  are bit-identical to scalar execution (``tests/engine/`` proves it);
-  throughput is several times higher.
-* ``"scalar"`` — one :meth:`CacheController.process` call per record;
-  the reference path the differential suite compares against.
-* ``"columnar"`` — the second-generation engine, and the one campaign
-  rows (Figures 9–11, :func:`repro.sim.campaign.execute_row`) run on:
-  chunks are NumPy arrays (:class:`repro.engine.columnar.ColumnarChunk`,
-  zero-copy views of the generator's columns or of an ``RPCOL1`` mmap
-  via :mod:`repro.trace.colio`) fed through :meth:`Simulator.feed_chunks`,
-  and the hot path runs vectorized kernels, falling back to the batched
-  engine per chunk whenever exact semantics require it.
+Execution
+---------
+``Simulator`` feeds its controller through the columnar engine
+(:mod:`repro.engine.columnar`): a trace is cut into NumPy
+:class:`repro.engine.columnar.ColumnarChunk` arrays (:meth:`Simulator.
+feed`), or arrives as pre-decoded batches (:meth:`Simulator.
+feed_batches`) or pre-built chunks — zero-copy views of the
+generator's columns or of an ``RPCOL1`` mmap via
+:mod:`repro.trace.colio` (:meth:`Simulator.feed_chunks`).  Each chunk
+runs on a vectorized kernel, or record by record through the scalar
+:meth:`CacheController.process` whenever exact semantics require it
+(telemetry, invariant checks, non-LRU replacement, multi-entry WG, the
+related-work controllers).  ``process()`` is also the reference the
+differential suite compares the kernels against.
 """
 
 from __future__ import annotations
@@ -33,17 +28,13 @@ from repro.cache.stats import CacheStats
 from repro.core.controller import CacheController
 from repro.core.outcomes import OperationCounts
 from repro.core.registry import make_controller
-from repro.engine.batch import AccessBatch, iter_batches
+from repro.engine.batch import AccessBatch
 from repro.engine.columnar import ColumnarChunk, iter_chunks, process_chunk
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.sram.events import SRAMEventLog
 from repro.trace.record import MemoryAccess
-from repro.errors import ValidationError
 
 __all__ = ["Simulator", "SimulationResult", "run_simulation"]
-
-_ENGINES = ("batched", "scalar", "columnar")
-
 
 @dataclass(frozen=True)
 class SimulationResult:
@@ -75,14 +66,9 @@ class Simulator:
         geometry: CacheGeometry,
         memory: Optional[FunctionalMemory] = None,
         telemetry: Optional[Telemetry] = None,
-        engine: str = "batched",
         batch_size: Optional[int] = None,
         **controller_kwargs,
     ) -> None:
-        if engine not in _ENGINES:
-            raise ValidationError(
-                f"unknown engine {engine!r}; known: {_ENGINES}"
-            )
         self.memory = memory if memory is not None else FunctionalMemory()
         self.cache = SetAssociativeCache(geometry, self.memory)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -90,42 +76,25 @@ class Simulator:
             technique, self.cache, telemetry=telemetry, **controller_kwargs
         )
         self.geometry = geometry
-        self.engine = engine
         self.batch_size = batch_size
         self._requests = 0
 
     def feed(self, trace: Iterable[MemoryAccess]) -> None:
         """Process a stream of accesses (may be called repeatedly).
 
-        Streaming either way: the batched engine holds at most one
-        batch of decoded records at a time.
+        Streaming: at most one chunk of decoded records is held at a
+        time.
         """
-        if self.engine == "scalar":
-            process = self.controller.process
-            for access in trace:
-                process(access)
-                self._requests += 1
-            return
-        if self.engine == "columnar":
-            for chunk in iter_chunks(trace, self.geometry, self.batch_size):
-                self._requests += process_chunk(self.controller, chunk)
-            return
-        process_batch = self.controller.process_batch
-        for batch in iter_batches(trace, self.geometry, self.batch_size):
-            self._requests += process_batch(batch)
+        for chunk in iter_chunks(trace, self.geometry, self.batch_size):
+            self._requests += process_chunk(self.controller, chunk)
 
     def feed_batches(self, batches: Iterable[AccessBatch]) -> None:
         """Process pre-decoded batches (e.g. from
         :func:`repro.trace.read_binary_trace_batches`)."""
-        if self.engine == "columnar":
-            for batch in batches:
-                self._requests += process_chunk(
-                    self.controller, ColumnarChunk.from_access_batch(batch)
-                )
-            return
-        process_batch = self.controller.process_batch
         for batch in batches:
-            self._requests += process_batch(batch)
+            self._requests += process_chunk(
+                self.controller, ColumnarChunk.from_access_batch(batch)
+            )
 
     def feed_chunks(self, chunks: Iterable[ColumnarChunk]) -> None:
         """Process pre-built columnar chunks (e.g. zero-copy views from
@@ -170,8 +139,8 @@ def run_simulation(
 ) -> SimulationResult:
     """Convenience: build a simulator, run the trace, return the result.
 
-    ``engine=`` / ``batch_size=`` pass through to :class:`Simulator`;
-    everything else reaches the controller factory.
+    ``batch_size=`` passes through to :class:`Simulator`; everything
+    else reaches the controller factory.
     """
     simulator = Simulator(technique, geometry, telemetry=telemetry, **controller_kwargs)
     simulator.feed(trace)

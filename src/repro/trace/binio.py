@@ -152,7 +152,7 @@ def read_binary_trace_batches(
 ) -> Iterator["AccessBatch"]:
     """Parse a binary trace straight into struct-of-arrays batches.
 
-    The batched-engine counterpart of :func:`read_binary_trace`: whole
+    The batch-decoding counterpart of :func:`read_binary_trace`: whole
     chunks of records are unpacked at once and the address fields are
     pre-split with ``geometry``'s cached shift/mask codec, skipping the
     per-record :class:`MemoryAccess` construction entirely.  Raises the

@@ -355,7 +355,7 @@ class ColumnarTrace:
     def batches(
         self, batch_size: Optional[int] = None
     ) -> Iterator["AccessBatch"]:
-        """Decode into :class:`AccessBatch` chunks (for the batched engine)."""
+        """Decode into list-based :class:`AccessBatch` chunks."""
         for chunk in self.chunks(batch_size):
             yield chunk.to_access_batch()
 

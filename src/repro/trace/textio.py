@@ -82,9 +82,8 @@ def read_text_trace_batches(
     The text format is validation-heavy, so this simply chunks
     :func:`read_text_trace` through
     :func:`repro.engine.batch.iter_batches`; the speedup comes from the
-    batched controller paths downstream (for fast decode too, convert
-    to the binary format and use
-    :func:`repro.trace.read_binary_trace_batches`).
+    columnar engine downstream (for fast decode too, convert to the
+    binary format and use :func:`repro.trace.read_binary_trace_batches`).
     """
     from repro.engine.batch import iter_batches
 

@@ -1,7 +1,7 @@
 """Campaign tests: clean runs, injected bugs, shrinking, corpus replay.
 
 The injected-bug tests are the acceptance criterion for the whole
-subsystem: a deliberate off-by-one planted in the WG batched fast path
+subsystem: a deliberate off-by-one planted in the columnar WG kernel
 must be *caught* by the differential campaign and *shrunk* to a repro
 of at most 32 accesses.
 """
@@ -13,7 +13,7 @@ from repro.check.corpus import CorpusEntry, iter_corpus, load_entry, save_entry
 from repro.check.differential import run_differential
 from repro.check.fuzz import TraceFuzzer
 from repro.core.registry import CONTROLLER_NAMES
-from repro.core.write_grouping import WriteGroupingController
+from repro.engine import columnar
 from repro.errors import TraceFormatError
 
 
@@ -47,67 +47,77 @@ class TestCleanCampaign:
         assert "OK" in report.summary()
 
 
-class _CounterOffByOne:
-    """Deliberate bug: the WG batched path overcounts grouped writes."""
+class _PlantedWGKernelBug:
+    """Wrap the columnar WG kernel with a deliberate bug.
+
+    ``process_chunk`` looks the kernel up as a module global, so
+    replacing the attribute reaches every chunk the kernel runs.
+    """
 
     def __init__(self):
-        self._original = WriteGroupingController._process_batch_fast
+        self._original = columnar._process_chunk_wg
+
+    def corrupt(self, controller) -> None:
+        raise NotImplementedError
 
     def __enter__(self):
         original = self._original
 
-        def buggy(controller, batch):
-            original(controller, batch)
-            controller.counts.grouped_writes += 1
+        def buggy(controller, chunk):
+            codes = original(controller, chunk)
+            self.corrupt(controller)
+            return codes
 
-        WriteGroupingController._process_batch_fast = buggy
+        columnar._process_chunk_wg = buggy
         return self
 
     def __exit__(self, *exc):
-        WriteGroupingController._process_batch_fast = self._original
+        columnar._process_chunk_wg = self._original
         return False
 
 
-class _LostWritebackAlias:
-    """Deliberate bug: drop one buffered modification per batched flush.
+class _CounterOffByOne(_PlantedWGKernelBug):
+    """Deliberate bug: the WG kernel overcounts grouped writes."""
 
-    A realistic data-plane bug (not just a counter): the batched WG
-    path 'forgets' one modified word, so a grouped write-back silently
+    def corrupt(self, controller) -> None:
+        controller.counts.grouped_writes += 1
+
+
+class _LostWritebackAlias(_PlantedWGKernelBug):
+    """Deliberate bug: drop one buffered modification per kernel chunk.
+
+    A realistic data-plane bug (not just a counter): the WG kernel
+    'forgets' one modified word, so a grouped write-back silently
     loses data and the final memory image diverges from the oracle and
     the scalar engine.
     """
 
-    def __init__(self):
-        self._original = WriteGroupingController._process_batch_fast
+    def corrupt(self, controller) -> None:
+        for entry in controller.buffer_entries:
+            modified = entry.set_buffer._modified  # noqa: SLF001
+            if len(modified) > 1:
+                modified.pop()
+                break
 
-    def __enter__(self):
-        original = self._original
 
-        def buggy(controller, batch):
-            original(controller, batch)
-            for entry in controller.buffer_entries:
-                modified = entry.set_buffer._modified  # noqa: SLF001
-                if len(modified) > 1:
-                    modified.pop()
-                    break
-
-        WriteGroupingController._process_batch_fast = buggy
-        return self
-
-    def __exit__(self, *exc):
-        WriteGroupingController._process_batch_fast = self._original
-        return False
+def _kernel_cases(seed: int, iterations: int, max_accesses: int) -> int:
+    """Fuzz cases the WG kernel runs: multi-entry buffer pools take the
+    scalar path, so a planted kernel bug cannot show in them."""
+    fuzzer = TraceFuzzer(seed=seed, max_accesses=max_accesses)
+    return sum(fuzzer.case(i).entries == 1 for i in range(iterations))
 
 
 class TestInjectedBugs:
     def test_counter_off_by_one_caught_and_shrunk(self):
         """Acceptance criterion: caught, and shrunk to <= 32 accesses."""
+        expected = _kernel_cases(seed=0, iterations=6, max_accesses=300)
+        assert expected >= 3
         with _CounterOffByOne():
             report = run_check_campaign(
-                seed=0, iterations=4, techniques=("wg",), max_accesses=300
+                seed=0, iterations=6, techniques=("wg",), max_accesses=300
             )
         assert not report.ok
-        assert len(report.failures) == 4
+        assert len(report.failures) == expected
         for failure in report.failures:
             assert failure.technique == "wg"
             assert any(
@@ -135,9 +145,10 @@ class TestInjectedBugs:
         )
 
     def test_no_shrink_keeps_original_trace(self):
+        assert _kernel_cases(seed=2, iterations=1, max_accesses=200) == 1
         with _CounterOffByOne():
             report = run_check_campaign(
-                seed=0,
+                seed=2,
                 iterations=1,
                 techniques=("wg",),
                 max_accesses=200,
@@ -147,13 +158,14 @@ class TestInjectedBugs:
         assert len(failure.trace) == failure.original_length
 
     def test_failure_describe_is_replayable(self):
+        assert _kernel_cases(seed=2, iterations=1, max_accesses=200) == 1
         with _CounterOffByOne():
             report = run_check_campaign(
-                seed=0, iterations=1, techniques=("wg",), max_accesses=200
+                seed=2, iterations=1, techniques=("wg",), max_accesses=200
             )
         text = report.failures[0].describe()
         assert "wg" in text
-        assert "seed 0" in text
+        assert "seed 2" in text
         assert "shrunk to" in text
 
 
@@ -226,10 +238,11 @@ class TestReplay:
         assert fixed.techniques == ("wg",)
 
     def test_replay_checks_shrunk_not_original(self, tmp_path):
+        assert _kernel_cases(seed=1, iterations=1, max_accesses=300) == 1
         corpus = tmp_path / "corpus"
         with _CounterOffByOne():
             run_check_campaign(
-                seed=0,
+                seed=1,
                 iterations=1,
                 techniques=("wg",),
                 max_accesses=300,

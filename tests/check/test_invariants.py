@@ -153,7 +153,7 @@ class TestMonotonicity:
 
 class TestBatchedPathUnderDebugMode:
     def test_fast_path_disengages_and_results_match(self):
-        from repro.engine.batch import iter_batches
+        from repro.engine.columnar import iter_chunks, process_chunk
 
         trace = make_random_trace(500, seed=47, word_span=120)
         results = []
@@ -162,10 +162,10 @@ class TestBatchedPathUnderDebugMode:
             controller = make_controller("wg", cache)
             if debug:
                 checker = controller.enable_invariant_checks()
-            for batch in iter_batches(trace, TINY, 64):
-                controller.process_batch(batch)
+            for chunk in iter_chunks(trace, TINY, 64):
+                process_chunk(controller, chunk)
             controller.finalize()
             results.append((controller.events, controller.counts, cache.stats))
         assert results[0] == results[1]
-        # Debug mode really audited every access despite batched feeding.
+        # Debug mode really audited every access despite chunked feeding.
         assert checker.checks_run == 500

@@ -23,55 +23,66 @@ class TestRunHotpathBench:
         for result in results:
             assert result.accesses == 2_000
             assert result.scalar_seconds > 0
-            assert result.batched_seconds > 0
+            assert result.columnar_seconds > 0
             assert result.scalar_aps > 0
-            assert result.batched_aps > 0
-            assert result.speedup > 0
+            assert result.columnar_aps > 0
+            assert result.speedup == pytest.approx(
+                result.scalar_seconds / result.columnar_seconds
+            )
 
     def test_rejects_bad_repeats(self):
         with pytest.raises(ValueError, match="repeats"):
             run_hotpath_bench(repeats=0)
 
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            run_hotpath_bench(engines=("scalar", "vectorised"))
-
-    def test_columnar_unmeasured_by_default(self, results):
-        for result in results:
-            assert result.columnar_seconds is None
-            assert result.columnar_aps == 0.0
-            assert result.columnar_speedup == 0.0
-            assert "columnar_seconds" not in result.to_dict()
-
 
 class TestColumnarTier:
-    def test_columnar_engine_measured(self):
-        geometry = CacheGeometry(
-            size_bytes=4 * 1024, associativity=4, block_bytes=32
-        )
-        results = run_hotpath_bench(
-            techniques=("conventional",),
-            accesses=2_000,
-            geometry=geometry,
-            repeats=1,
-            engines=("scalar", "batched", "columnar"),
-        )
-        (result,) = results
-        assert result.columnar_seconds is not None
-        assert result.columnar_seconds > 0
-        assert result.columnar_aps > 0
-        assert result.columnar_speedup > 0
-        doc = result.to_dict()
-        assert doc["columnar_seconds"] == result.columnar_seconds
-        assert doc["columnar_speedup"] == result.columnar_speedup
-        # The ledger copies the columnar fields through additively.
+    def test_columnar_engine_measured(self, results):
         from repro.obs.perf.ledger import run_record
 
+        doc = results[0].to_dict()
+        assert doc["columnar_seconds"] == results[0].columnar_seconds
+        assert doc["speedup"] == results[0].speedup
+        # The ledger copies the columnar fields through.
         record = run_record(
-            results, "bwaves", geometry.describe(), 2_000, seed=1, repeats=1,
+            results, "bwaves", "4KB/4-way/32B", 2_000, seed=1, repeats=1,
             env={}, timestamp="2026-01-01T00:00:00Z",
         )
-        assert "columnar_speedup" in record["results"][0]
+        row = record["results"][0]
+        assert row["columnar_seconds"] == results[0].columnar_seconds
+        assert row["speedup"] == results[0].speedup
+
+
+class TestCrossCheck:
+    """A kernel that disagrees with scalar must fail the bench."""
+
+    @pytest.mark.parametrize(
+        "corrupt, what",
+        [
+            (lambda c: setattr(c.events, "row_reads", c.events.row_reads + 1),
+             "event logs"),
+            (lambda c: setattr(c.counts, "grouped_writes",
+                               c.counts.grouped_writes + 1),
+             "operation counts"),
+            (lambda c: setattr(c.cache.stats, "read_hits",
+                               c.cache.stats.read_hits + 1),
+             "cache statistics"),
+        ],
+        ids=["events", "counts", "stats"],
+    )
+    def test_mismatch_raises(self, corrupt, what, monkeypatch):
+        from repro.engine import columnar
+        from repro.errors import ReproError
+
+        original = columnar._process_chunk_wg
+
+        def buggy(controller, chunk):
+            codes = original(controller, chunk)
+            corrupt(controller)
+            return codes
+
+        monkeypatch.setattr(columnar, "_process_chunk_wg", buggy)
+        with pytest.raises(ReproError, match=what):
+            run_hotpath_bench(techniques=("wg",), accesses=500, repeats=1)
 
 
 class TestBenchReport:
@@ -88,9 +99,9 @@ class TestBenchReport:
                 "technique",
                 "accesses",
                 "scalar_seconds",
-                "batched_seconds",
+                "columnar_seconds",
                 "scalar_accesses_per_second",
-                "batched_accesses_per_second",
+                "columnar_accesses_per_second",
                 "speedup",
             }
         assert report["regressions"] == []
@@ -100,7 +111,7 @@ class TestBenchReport:
             technique="conventional",
             accesses=100,
             scalar_seconds=1.0,
-            batched_seconds=0.9,  # speedup 1.11x
+            columnar_seconds=0.9,  # speedup 1.11x
         )
         geometry = CacheGeometry(size_bytes=512, associativity=2, block_bytes=32)
         report = bench_report(
@@ -116,7 +127,7 @@ class TestBenchReport:
 
     def test_unfloored_techniques_ignored(self):
         fake = BenchResult(
-            technique="wg", accesses=100, scalar_seconds=1.0, batched_seconds=1.0
+            technique="wg", accesses=100, scalar_seconds=1.0, columnar_seconds=1.0
         )
         geometry = CacheGeometry(size_bytes=512, associativity=2, block_bytes=32)
         report = bench_report([fake], "bwaves", geometry, floors={"rmw": 3.0})

@@ -107,11 +107,10 @@ class TestKernelEquality:
 
 
 class TestAdversarialScenarios:
-    """The fuzzer's adversarial scenarios, replayed four ways.
+    """The fuzzer's adversarial scenarios, replayed three ways.
 
-    ``run_differential`` includes the columnar leg whenever NumPy is
-    installed (which it is, or this module would have skipped), so each
-    case below is an oracle↔scalar↔batched↔columnar comparison.
+    Each case below is an oracle↔scalar↔columnar comparison through
+    ``run_differential``.
     """
 
     @pytest.mark.parametrize("scenario_index", range(len(SCENARIO_NAMES)))
@@ -179,9 +178,7 @@ class TestFallbacks:
         trace = make_random_trace(1_000, seed=38, word_span=200)
         plain = run_scalar_direct(trace, "wg", tiny_geometry)
         telemetry = Telemetry(registry=MetricsRegistry())
-        instrumented = Simulator(
-            "wg", tiny_geometry, telemetry=telemetry, engine="columnar"
-        )
+        instrumented = Simulator("wg", tiny_geometry, telemetry=telemetry)
         instrumented.feed(trace)
         result = instrumented.finish()
         instrumented.cache.flush_all_dirty()
@@ -211,7 +208,9 @@ class TestGates:
             process_chunk(controller, chunk)
 
     def test_unknown_engine_rejected(self, tiny_geometry):
-        with pytest.raises(ValidationError, match="unknown engine"):
+        """The columnar engine is the only one: ``engine=`` is no
+        option of ``Simulator`` and fails loudly."""
+        with pytest.raises(TypeError, match="engine"):
             Simulator("conventional", tiny_geometry, engine="vectorised")
 
 

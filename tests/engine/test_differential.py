@@ -1,21 +1,24 @@
-"""Differential suite: scalar vs batched vs columnar must be bit-identical.
+"""Differential suite: scalar vs columnar must be bit-identical.
 
-The batched and columnar engines exist purely for throughput — they
-must never change a number.  Every test here replays the *same*
-randomized trace through ``engine="scalar"``, ``engine="batched"`` and
-(when NumPy is installed) ``engine="columnar"``, and asserts that the
+The columnar engine exists purely for throughput — it must never change
+a number.  Every test here replays the *same* randomized trace through
+the scalar reference (``CacheController.process`` per record) and
+through ``Simulator.feed`` (the columnar engine), and asserts that the
 :class:`SRAMEventLog`, :class:`OperationCounts`, :class:`CacheStats`
 and the final :class:`FunctionalMemory` contents (after flushing every
 dirty line) are equal, across techniques, geometries, controller knobs
-and batch boundaries.
+and chunk boundaries.
 """
 
 import pytest
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheGeometry
+from repro.cache.memory import FunctionalMemory
 from repro.core.registry import ALL_CONTROLLER_NAMES, CONTROLLER_NAMES, make_controller
+from repro.engine import columnar
 from repro.engine.batch import iter_batches
+from repro.engine.columnar import iter_chunks, process_chunk
 from repro.sim.simulator import Simulator
 
 from tests.conftest import make_random_trace
@@ -27,33 +30,40 @@ GEOMETRIES = {
 }
 
 
-def run_engine(trace, technique, geometry, engine, batch_size=None, **kwargs):
-    """One full run; returns (result, post-flush memory snapshot)."""
-    simulator = Simulator(
-        technique, geometry, engine=engine, batch_size=batch_size, **kwargs
-    )
-    simulator.feed(trace)
-    result = simulator.finish()
+def run_scalar(trace, technique, geometry, **kwargs):
+    """The scalar reference; returns (controller, post-flush memory)."""
+    memory = FunctionalMemory()
+    cache = SetAssociativeCache(geometry, memory)
+    controller = make_controller(technique, cache, **kwargs)
+    for access in trace:
+        controller.process(access)
+    controller.finalize()
     # Flushing every dirty line folds the cache's data arrays and dirty
     # bits into the memory image, so the snapshot comparison also
     # proves the *cache contents* agree, not just the counters.
+    cache.flush_all_dirty()
+    return controller, memory.snapshot()
+
+
+def run_columnar(trace, technique, geometry, batch_size=None, **kwargs):
+    """One ``Simulator`` run; returns (result, post-flush memory)."""
+    simulator = Simulator(technique, geometry, batch_size=batch_size, **kwargs)
+    simulator.feed(trace)
+    result = simulator.finish()
     simulator.cache.flush_all_dirty()
     return result, simulator.memory.snapshot()
 
 
 def assert_identical(trace, technique, geometry, batch_size=None, **kwargs):
-    scalar, scalar_memory = run_engine(
-        trace, technique, geometry, "scalar", **kwargs
+    scalar, scalar_memory = run_scalar(trace, technique, geometry, **kwargs)
+    candidate, candidate_memory = run_columnar(
+        trace, technique, geometry, batch_size=batch_size, **kwargs
     )
-    for engine in ("batched", "columnar"):
-        candidate, candidate_memory = run_engine(
-            trace, technique, geometry, engine, batch_size=batch_size, **kwargs
-        )
-        assert candidate.requests == scalar.requests, engine
-        assert candidate.events == scalar.events, engine
-        assert candidate.counts == scalar.counts, engine
-        assert candidate.cache_stats == scalar.cache_stats, engine
-        assert candidate_memory == scalar_memory, engine
+    assert candidate.requests == len(trace)
+    assert candidate.events == scalar.events
+    assert candidate.counts == scalar.counts
+    assert candidate.cache_stats == scalar.cache.stats
+    assert candidate_memory == scalar_memory
 
 
 class TestAllTechniques:
@@ -101,7 +111,7 @@ class TestBatchBoundaries:
         """Pinned corner: a same-set write run crosses a batch boundary
         while the Set-Buffer is dirty from the records before the cut.
 
-        The batched engine must treat the post-boundary writes as a
+        The columnar engine must treat the post-boundary writes as a
         continuation of the buffered run — re-filling (or prematurely
         flushing) at the boundary would change write-back counts and,
         with a lost modification, the final memory image.
@@ -179,13 +189,13 @@ class TestFallbackPaths:
     def test_non_lru_replacement_falls_back(self, replacement, tiny_geometry):
         trace = make_random_trace(1_500, seed=19, word_span=400)
         results = []
-        for use_batches in (False, True):
+        for use_chunks in (False, True):
             cache = SetAssociativeCache(tiny_geometry, replacement=replacement)
             assert not cache.engine_fast_ok
             controller = make_controller("wg", cache)
-            if use_batches:
-                for batch in iter_batches(trace, tiny_geometry, 128):
-                    controller.process_batch(batch)
+            if use_chunks:
+                for chunk in iter_chunks(trace, tiny_geometry, 128):
+                    process_chunk(controller, chunk)
             else:
                 for access in trace:
                     controller.process(access)
@@ -198,11 +208,9 @@ class TestFallbackPaths:
         from repro.obs.telemetry import Telemetry
 
         trace = make_random_trace(1_000, seed=20, word_span=200)
-        plain, plain_memory = run_engine(trace, "wg", tiny_geometry, "scalar")
+        plain, plain_memory = run_scalar(trace, "wg", tiny_geometry)
         telemetry = Telemetry(registry=MetricsRegistry())
-        instrumented = Simulator(
-            "wg", tiny_geometry, telemetry=telemetry, engine="batched"
-        )
+        instrumented = Simulator("wg", tiny_geometry, telemetry=telemetry)
         instrumented.feed(trace)
         result = instrumented.finish()
         instrumented.cache.flush_all_dirty()
@@ -211,6 +219,59 @@ class TestFallbackPaths:
         assert instrumented.memory.snapshot() == plain_memory
         # The per-access instrumentation really ran.
         assert telemetry.registry.value("ctrl.wg.read_requests") > 0
+
+    @pytest.mark.parametrize("technique", ("wg", "wg_rb"))
+    @pytest.mark.parametrize("setup", ("entries", "telemetry"))
+    def test_unsupported_chunk_runs_record_by_record(
+        self, technique, setup, tiny_geometry, monkeypatch
+    ):
+        """``process_chunk`` on a multi-entry or telemetry-attached WG
+        controller replays every record through ``process()`` and
+        matches a direct scalar run exactly."""
+        from repro.obs.registry import MetricsRegistry
+        from repro.obs.telemetry import Telemetry
+
+        def no_kernel(controller, chunk):
+            raise AssertionError("the WG kernel must not run this chunk")
+
+        monkeypatch.setattr(columnar, "_process_chunk_wg", no_kernel)
+        kwargs = {"entries": 3} if setup == "entries" else {}
+        trace = make_random_trace(1_200, seed=22, word_span=256, write_share=0.6)
+        scalar, scalar_memory = run_scalar(
+            trace, technique, tiny_geometry, **kwargs
+        )
+
+        memory = FunctionalMemory()
+        cache = SetAssociativeCache(tiny_geometry, memory)
+        telemetry = (
+            Telemetry(registry=MetricsRegistry())
+            if setup == "telemetry"
+            else None
+        )
+        controller = make_controller(
+            technique, cache, telemetry=telemetry, **kwargs
+        )
+        calls = []
+        process = controller.process
+
+        def counting_process(access):
+            calls.append(access)
+            return process(access)
+
+        controller.process = counting_process
+        consumed = sum(
+            process_chunk(controller, chunk)
+            for chunk in iter_chunks(trace, tiny_geometry, 100)
+        )
+        controller.finalize()
+        cache.flush_all_dirty()
+
+        assert consumed == len(trace)
+        assert calls == trace
+        assert controller.events == scalar.events
+        assert controller.counts == scalar.counts
+        assert cache.stats == scalar.cache.stats
+        assert memory.snapshot() == scalar_memory
 
     def test_geometry_mismatch_rejected(self, tiny_geometry, small_geometry):
         trace = make_random_trace(10, seed=21)

@@ -18,7 +18,7 @@ class GatedController(CacheController):
             and not self._obs
             and self._invariant_checker is None
         ):
-            self._process_batch_fast(batch)
+            self._replay_fast(batch)
         else:
             for access in batch.accesses():
                 self.process(access)

@@ -237,3 +237,27 @@ class TestGithubFormat:
         assert main(["lint", case, "--format", "github"]) == 0
         out = capsys.readouterr().out
         assert "::error" not in out
+
+
+class TestFastPathGateScope:
+    def test_base_controller_replay_is_exempt(self, tmp_path):
+        """The base class's own process_batch is the record-by-record
+        replay overrides fall back to; only overrides need the gate."""
+        source = (
+            "class CacheController:\n"
+            "    def process_batch(self, batch):\n"
+            "        for access in batch.accesses():\n"
+            "            self.process(access)\n"
+            "        return len(batch)\n"
+            "\n"
+            "\n"
+            "class Shortcut(CacheController):\n"
+            "    def process_batch(self, batch):\n"
+            "        return len(batch)\n"
+        )
+        target = tmp_path / "controllers.py"
+        target.write_text(source, encoding="utf-8")
+        report = run_lint([str(target)], select=["RPR122"])
+        assert [f.message.split(".")[0] for f in report.findings] == [
+            "Shortcut"
+        ]

@@ -23,15 +23,15 @@ ENV = {
 
 def result_dict(technique, speedup, scalar_seconds=1.0):
     """One ``BenchResult.to_dict()``-shaped result with a given speedup."""
-    batched_seconds = scalar_seconds / speedup
+    columnar_seconds = scalar_seconds / speedup
     accesses = WORKLOAD["accesses"]
     return {
         "technique": technique,
         "accesses": accesses,
         "scalar_seconds": scalar_seconds,
-        "batched_seconds": batched_seconds,
+        "columnar_seconds": columnar_seconds,
         "scalar_accesses_per_second": accesses / scalar_seconds,
-        "batched_accesses_per_second": accesses / batched_seconds,
+        "columnar_accesses_per_second": accesses / columnar_seconds,
         "speedup": speedup,
     }
 

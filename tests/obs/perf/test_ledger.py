@@ -100,11 +100,45 @@ class TestAppendRead:
         append_run(ledger_path, make_record({"wg": 4.0}))
         future = make_record({"wg": 9.9})
         future["schema"] = LEDGER_SCHEMA_VERSION + 1
+        # A batched-era line (same schema): ``speedup`` was batched over
+        # scalar, and the columnar tier was timed only on request.
+        legacy = make_record({"wg": 9.9, "rmw": 9.9})
+        legacy["results"] = [
+            {
+                "technique": "wg",
+                "accesses": 200_000,
+                "scalar_seconds": 1.0,
+                "batched_seconds": 0.5,
+                "columnar_seconds": 0.25,
+                "scalar_accesses_per_second": 200_000.0,
+                "batched_accesses_per_second": 400_000.0,
+                "columnar_accesses_per_second": 800_000.0,
+                "speedup": 2.0,
+                "columnar_speedup": 2.0,
+            },
+            {
+                "technique": "rmw",
+                "accesses": 200_000,
+                "scalar_seconds": 1.0,
+                "batched_seconds": 0.5,
+                "scalar_accesses_per_second": 200_000.0,
+                "batched_accesses_per_second": 400_000.0,
+                "speedup": 2.0,
+            },
+        ]
         with open(ledger_path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(future) + "\n")
+            handle.write(json.dumps(legacy) + "\n")
         entries = read_ledger(ledger_path)
-        assert len(entries) == 1
+        assert len(entries) == 2
         assert entries[0].speedup("wg") == 4.0
+        old = entries[1]
+        # Mapped onto today's columnar-over-scalar ratio, never read as
+        # the batched ratio it stored.
+        assert old.speedup("wg") == pytest.approx(4.0)
+        assert old.columnar_aps("wg") == 800_000.0
+        assert old.speedup("rmw") is None
+        assert old.columnar_aps("rmw") is None
 
     def test_blank_lines_ignored(self, ledger_path):
         append_run(ledger_path, make_record({"wg": 4.0}))

@@ -1,5 +1,7 @@
 """Unit tests for the campaign runner (kept small and fast)."""
 
+import dataclasses
+
 import pytest
 
 from repro.cache.config import BASELINE_GEOMETRY, CacheGeometry
@@ -86,12 +88,16 @@ def scalar_reference_row(benchmark, config):
     warmup = config.warmup_accesses
     results = {}
     for technique in config.techniques:
-        simulator = Simulator(technique, config.geometry, engine="scalar")
-        if warmup:
-            simulator.feed(trace[:warmup])
-            simulator.reset_measurements()
-        simulator.feed(trace[warmup:])
-        results[technique] = simulator.finish()
+        simulator = Simulator(technique, config.geometry)
+        process = simulator.controller.process  # the scalar reference
+        for access in trace[:warmup]:
+            process(access)
+        simulator.reset_measurements()
+        for access in trace[warmup:]:
+            process(access)
+        results[technique] = dataclasses.replace(
+            simulator.finish(), requests=len(trace) - warmup
+        )
     return results
 
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.cache.cache import SetAssociativeCache
+from repro.core.registry import make_controller
 from repro.engine.batch import iter_batches
 from repro.obs.registry import MetricsRegistry
 from repro.obs.telemetry import Telemetry
@@ -43,17 +45,20 @@ class TestRunSimulation:
 
 class TestEngines:
     def test_unknown_engine_rejected(self, tiny_geometry):
-        with pytest.raises(ValueError, match="unknown engine"):
+        """There is one engine: an ``engine=`` option fails loudly
+        instead of being silently ignored."""
+        with pytest.raises(TypeError, match="engine"):
             Simulator("rmw", tiny_geometry, engine="vectorized")
 
-    @pytest.mark.parametrize("engine", ("scalar", "batched"))
-    def test_engines_agree(self, tiny_geometry, engine):
+    def test_engines_agree(self, tiny_geometry):
         trace = make_random_trace(400, seed=7)
-        reference = run_simulation(trace, "wg", tiny_geometry, engine="scalar")
-        result = run_simulation(trace, "wg", tiny_geometry, engine=engine)
+        cache = SetAssociativeCache(tiny_geometry)
+        reference = make_controller("wg", cache)
+        reference.run(trace, collect_outcomes=False)
+        result = run_simulation(trace, "wg", tiny_geometry)
         assert result.events == reference.events
         assert result.counts == reference.counts
-        assert result.cache_stats == reference.cache_stats
+        assert result.cache_stats == cache.stats
 
     def test_feed_batches(self, tiny_geometry):
         trace = make_random_trace(300, seed=8)

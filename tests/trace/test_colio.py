@@ -167,9 +167,7 @@ def _replay_from_mapping(path_str):
     from repro.trace.colio import open_columnar_trace
 
     with open_columnar_trace(path_str) as columnar:
-        simulator = Simulator(
-            "conventional", columnar.geometry, engine="columnar"
-        )
+        simulator = Simulator("conventional", columnar.geometry)
         simulator.feed_chunks(columnar.chunks(128))
         result = simulator.finish()
     return {
